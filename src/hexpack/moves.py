@@ -12,21 +12,34 @@ predecessor packing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidPlacement
 from .hexmodel import (
+    HEX_EDGES,
     HEX_FACES,
     HexComplex,
     REF_CORNERS,
-    build_complex,
-    check_conformity,
+    boundary_violations,
     extract_boundary,
     face_key,
+    hex_face_cycle,
     oriented_key,
 )
-from .surface import SurfacePattern, build_pattern, canonical_code
+from .surface import SurfacePattern, canonical_code, euler_characteristic
+
+# Why _realize turned a candidate down, in the order it checks; each is
+# a key of the counters dict that enumerate_moves fills.
+REJECT_REASONS = (
+    "propagate",
+    "identification",
+    "double_glue",
+    "maximality",
+    "euler",
+    "conformity",
+)
 
 
 def _isometries():
@@ -172,6 +185,22 @@ _CONFIGS = _build_configs()
 _COMPONENTS = {cfg.id: _components(cfg.faces) for cfg in _CONFIGS}
 
 
+@functools.cache
+def _glue_table(mask):
+    """For a glued face set, as a bit mask over the 6 faces: the number
+    of glued faces at each corner, every cube edge with the number of its
+    two faces that are glued, the unglued faces, and whether those fall
+    into more than one piece."""
+    glued = [f for f in range(6) if mask >> f & 1]
+    unglued = tuple(f for f in range(6) if not mask >> f & 1)
+    at_corner = tuple(sum(c in HEX_FACES[f] for f in glued) for c in range(8))
+    edges = tuple(
+        (a, b, sum(a in HEX_FACES[f] and b in HEX_FACES[f] for f in glued))
+        for a, b in HEX_EDGES
+    )
+    return at_corner, edges, unglued, len(_components(unglued)) > 1
+
+
 def glue_configs():
     """The 8 glue classes, ordered by (subset size, representative)."""
     return _CONFIGS
@@ -248,17 +277,6 @@ class MoveResult:
     targets: dict
 
 
-def _euler_of_quads(quads):
-    verts = set()
-    edges = set()
-    for q in quads:
-        verts.update(q)
-        for i in range(4):
-            a, b = q[i], q[(i + 1) % 4]
-            edges.add((a, b) if a < b else (b, a))
-    return len(verts) - len(edges) + len(quads)
-
-
 def _propagate(pattern, faces, seeds):
     """Extend seed correspondences across shared cube edges.
 
@@ -310,18 +328,104 @@ def _propagate(pattern, faces, seeds):
     return m, targets
 
 
+def _reject(counters, reason):
+    if counters is not None:
+        counters[reason] = counters.get(reason, 0) + 1
+    return None
+
+
+def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
+    """Glue new_hex onto the packing: (complex, boundary pattern) or None.
+
+    This is the one definition of a legal move.  targets maps each glued
+    face of new_hex to the index of the pattern quad it covers; the
+    quads are distinct and each face's cycle is a rotation of its quad.
+    The packing must be conforming and pattern must be its boundary.
+    Corners off the glued faces get new ids in a move; in a grow order
+    they keep the ids of the complex being certified.
+
+    Only what the new hex changes is looked at: its faces against the
+    packing's face index, and its 12 edges and 8 corners against the
+    pattern.  The verdict is the one check_conformity on the grown
+    complex and build_pattern on its boundary give (and, in sphere
+    mode, Euler characteristic 2); the tests hold the two to each other.
+    The returned pattern lists the unglued old quads, then the new ones.
+    A rejection is counted in counters under "euler" or "conformity".
+    """
+    mask = 0
+    for f in targets:
+        mask |= 1 << f
+    at_corner, edges, unglued, splits = _glue_table(mask)
+    degree = pattern.degree
+    directed = pattern.directed_edges
+    if sphere_mode:
+        # V - E + F of the new surface from the old one: only the new
+        # hex's corners and edges can appear or vanish.  An edge lies in
+        # two quads or none; it vanishes when both its faces are glued.
+        dv = 0
+        for c in range(8):
+            # a corner leaves the surface only when its 3 faces are glued
+            # and no other quad holds it
+            d = degree.get(new_hex[c], 0)
+            j = at_corner[c]
+            dv += (j < 3 or d > j) - (d > 0)
+        de = 0
+        for a, b, n in edges:
+            de += (n < 2) - ((new_hex[a], new_hex[b]) in directed)
+        if euler_characteristic(pattern) + dv - de + 6 - 2 * len(targets) != 2:
+            return _reject(counters, "euler")
+
+    quads = pattern.quads
+    index = packing.face_index
+    nv = packing.vertex_count
+    if len(targets) > 1:
+        owners = {index[face_key(quads[t])][0][0] for t in targets.values()}
+        if len(owners) < len(targets):
+            return _reject(counters, "conformity")  # two faces shared with one hex
+    for a, b, n in edges:
+        if n == 0 and (new_hex[a], new_hex[b]) in directed:
+            return _reject(counters, "conformity")  # edge in four boundary quads
+    for c in range(8):
+        if not at_corner[c] and new_hex[c] in degree:
+            return _reject(counters, "conformity")  # two disks at one vertex
+    new_faces = [hex_face_cycle(new_hex, g) for g in unglued]
+    for cyc in new_faces:
+        if all(v < nv for v in cyc) and face_key(cyc) in index:
+            return _reject(counters, "conformity")  # meets an old face unglued
+    if all(v < nv for v in new_hex):
+        corners = set(new_hex)
+        if any(corners.issuperset(h) for h in packing.hexes):
+            return _reject(counters, "conformity")  # repeats a hex's vertex set
+    tvals = set(targets.values())
+    succ_quads = [q for qi, q in enumerate(quads) if qi not in tvals]
+    succ_quads.extend(cyc[::-1] for cyc in new_faces)
+    # Given the checks above every edge and vertex of the new surface is
+    # manifold, and it stays connected when the glued faces leave the
+    # rest of the cube in one piece.  A ring of four glued faces may cut
+    # the old surface in two, which only the whole surface can tell.
+    if splits and boundary_violations(succ_quads):
+        return _reject(counters, "conformity")
+    grown = HexComplex(max(nv, max(new_hex) + 1), packing.hexes + (new_hex,))
+    return grown, SurfacePattern(succ_quads)
+
+
 def _realize(packing, pattern, cfg, seeds, rotation_code, *, sphere_mode,
-             reflection_invariant, with_code):
-    """Validate one candidate attachment; None when it is not a legal move."""
+             reflection_invariant, with_code, counters=None):
+    """Validate one candidate attachment; None when it is not a legal move.
+
+    counters, when given, counts the rejection under its reason (one of
+    REJECT_REASONS) or, with with_code, the code computed under "codes".
+    """
     res = _propagate(pattern, cfg.faces, seeds)
     if res is None:
-        return None
+        return _reject(counters, "propagate")
     m, targets = res
     if len(set(m.values())) != len(m):
-        return None  # two cube corners forced onto one surface vertex
+        # two cube corners forced onto one surface vertex
+        return _reject(counters, "identification")
     tvals = set(targets.values())
     if len(tvals) != len(targets):
-        return None  # two faces glued to the same quad
+        return _reject(counters, "double_glue")  # two faces on one quad
     # Maximality: an unglued face whose corners are all identified must
     # not coincide orientation-compatibly with a remaining surface quad;
     # that attachment belongs to the larger config.
@@ -335,7 +439,7 @@ def _realize(packing, pattern, cfg, seeds, rotation_code, *, sphere_mode,
                 if qi not in tvals and oriented_key(
                     pattern.quads[qi]
                 ) == oriented_key(img):
-                    return None
+                    return _reject(counters, "maximality")
 
     new_hex = []
     nxt = packing.vertex_count
@@ -345,24 +449,18 @@ def _realize(packing, pattern, cfg, seeds, rotation_code, *, sphere_mode,
             v = nxt
             nxt += 1
         new_hex.append(v)
-    new_hex = tuple(new_hex)
-
-    succ_quads = [
-        q for qi, q in enumerate(pattern.quads) if qi not in tvals
-    ]
-    for g in range(6):
-        if g not in targets:
-            succ_quads.append(tuple(new_hex[i] for i in reversed(HEX_FACES[g])))
-    if sphere_mode and _euler_of_quads(succ_quads) != 2:
-        return None
-
-    c2 = HexComplex(nxt, packing.hexes + (new_hex,))
-    if not check_conformity(c2).ok:
-        return None
-    succ_pattern = build_pattern(succ_quads)
-    code = (
-        canonical_code(succ_pattern, reflection_invariant) if with_code else b""
+    grown = glue_hex(
+        packing, pattern, tuple(new_hex), targets,
+        sphere_mode=sphere_mode, counters=counters,
     )
+    if grown is None:
+        return None
+    c2, succ_pattern = grown
+    code = b""
+    if with_code:
+        code = canonical_code(succ_pattern, reflection_invariant)
+        if counters is not None:
+            counters["codes"] = counters.get("codes", 0) + 1
     placement = Placement(
         cfg.id, tuple(targets[f] for f in cfg.faces), rotation_code
     )
@@ -397,7 +495,9 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
     dedup_by_successor only the first placement per successor code is
     kept.  The pattern argument must be extract_boundary(packing) (it is
     computed when omitted).  counters, if given, is a dict whose "tried"
-    entry is incremented per candidate seeding examined.
+    entry is incremented per candidate seeding examined; each rejected
+    seeding also counts under its reason (see REJECT_REASONS) and each
+    successor code computed under "codes".
 
     with_codes=False skips successor code computation (result .code is
     b"", order falls back to placement alone); it only combines with
@@ -427,6 +527,7 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
                 sphere_mode=sphere_mode,
                 reflection_invariant=reflection_invariant,
                 with_code=with_codes,
+                counters=counters,
             )
             if cand is not None:
                 out.append(cand)
@@ -464,7 +565,8 @@ def apply_move(packing, placement, pattern=None):
 
     Raises InvalidPlacement when the placement does not decode against
     the packing (stale indices, failed identification, nonconforming
-    result).  The returned pattern equals the boundary of the returned
+    result).  The packing must be conforming, as build_complex and every
+    move make it.  The returned pattern equals the boundary of the returned
     complex as a set of cycles; its quad order is the local revision
     order, not extract_boundary order.
     """
@@ -509,4 +611,4 @@ def apply_move(packing, placement, pattern=None):
 
 def initial_packing():
     """The single-hex start state of every search."""
-    return build_complex([tuple(range(8))], 8)
+    return HexComplex(8, [tuple(range(8))])  # one hex always conforms

@@ -15,6 +15,7 @@ re-expanded, matching the keep-one-optimal-packing-per-pattern policy.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +32,7 @@ from .hexmodel import (
     hex_parity,
 )
 from .moves import (
+    REJECT_REASONS,
     ROTATION_FACE_PERMS,
     ROTATIONS,
     Placement,
@@ -39,11 +41,12 @@ from .moves import (
     config_for_subset,
     enumerate_moves,
     glue_configs,
+    glue_hex,
     initial_packing,
 )
 from .surface import canonical_code, code_quad_count
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 CODE_LAYOUT_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
@@ -68,18 +71,33 @@ class SearchOptions:
 
 @dataclass
 class SearchStats:
+    """Search totals.  Every candidate tried either is rejected, counted
+    under its reason (rejected_<reason>, see moves.REJECT_REASONS), or
+    gets its successor code computed; moves_valid counts the distinct
+    successors each expansion proposed."""
+
     states_expanded: int = 0
     moves_tried: int = 0
     moves_valid: int = 0
     pruned: int = 0
+    codes_computed: int = 0
+    rejected_propagate: int = 0
+    rejected_identification: int = 0
+    rejected_double_glue: int = 0
+    rejected_maximality: int = 0
+    rejected_euler: int = 0
+    rejected_conformity: int = 0
+
+    def add_counters(self, counters):
+        """Add one enumerate_moves counters dict."""
+        self.moves_tried += counters.get("tried", 0)
+        self.codes_computed += counters.get("codes", 0)
+        for reason in REJECT_REASONS:
+            name = "rejected_" + reason
+            setattr(self, name, getattr(self, name) + counters.get(reason, 0))
 
     def as_dict(self):
-        return {
-            "states_expanded": self.states_expanded,
-            "moves_tried": self.moves_tried,
-            "moves_valid": self.moves_valid,
-            "pruned": self.pruned,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -111,10 +129,18 @@ class PatternRecord:
 
 @dataclass
 class SearchLedger:
+    """The records up to layer, and the run that wrote them.
+
+    target and max_hexes are those of the last build_ledger call; with
+    admissible pruning they decide which states were left unexpanded.
+    """
+
     records: dict
     layer: int
     options: SearchOptions
     stats: SearchStats = field(default_factory=SearchStats)
+    target: bytes = None
+    max_hexes: int = None
 
 
 @dataclass(frozen=True)
@@ -183,7 +209,7 @@ def _expand_record(args):
     code, witness, options = args
     packing = replay_witness(witness)
     pattern = extract_boundary(packing)
-    counters = {"tried": 0}
+    counters = {}
     cands = enumerate_moves(
         packing,
         pattern,
@@ -193,9 +219,7 @@ def _expand_record(args):
         dedup_by_successor=True,
         counters=counters,
     )
-    return [
-        (cand.code, code, cand.placement) for cand in cands
-    ], counters["tried"]
+    return [(cand.code, code, cand.placement) for cand in cands], counters
 
 
 def build_ledger(max_hexes, options=None, target=None, progress=None):
@@ -205,7 +229,9 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
     containing the target and, when admissible_pruning is on, skips
     states that cannot reach the target's quad count in the remaining
     budget.  A checkpoint directory in the options makes the run
-    resumable: an existing checkpoint is loaded and continued.
+    resumable: an existing checkpoint is loaded and continued.  A
+    checkpoint in which pruning skipped states only resumes with the same
+    target and max_hexes; any other resume raises CheckpointCorrupt.
     """
     if options is None:
         options = SearchOptions()
@@ -222,11 +248,21 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
                 raise CheckpointCorrupt(
                     f"checkpoint was written with different {name}"
                 )
+        # pruned states were never expanded, so the records are complete
+        # only for the target and budget that decided the pruning
+        if ledger.stats.pruned and (
+            (ledger.target, ledger.max_hexes) != (target, max_hexes)
+        ):
+            raise CheckpointCorrupt(
+                "checkpoint pruned states for another target or max_hexes"
+            )
         ledger.options = options
-    if ledger is None:
+    fresh = ledger is None
+    if fresh:
         ledger = _fresh_ledger(options)
-        if options.checkpoint_dir:
-            save_checkpoint(ledger, options.checkpoint_dir)
+    ledger.target, ledger.max_hexes = target, max_hexes
+    if fresh and options.checkpoint_dir:
+        save_checkpoint(ledger, options.checkpoint_dir)
 
     target_quads = code_quad_count(target) if target is not None else None
 
@@ -264,9 +300,9 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
             results = [_expand_record(w) for w in work]
 
         proposals = []
-        for plist, tried in results:
+        for plist, counters in results:
             proposals.extend(plist)
-            ledger.stats.moves_tried += tried
+            ledger.stats.add_counters(counters)
             ledger.stats.moves_valid += len(plist)
         ledger.stats.states_expanded += len(work)
 
@@ -379,26 +415,6 @@ def verify_template(a, b, reflection_invariant=True):
     )
 
 
-def _boundary_key_set(c):
-    keys = {}
-    for hi, corners in enumerate(c.hexes):
-        for f in range(6):
-            k = face_key(hex_face_cycle(corners, f))
-            keys[k] = keys.get(k, 0) + 1
-    return {k for k, n in keys.items() if n == 1}
-
-
-def _euler_of_complex_boundary(c):
-    quads = c.boundary_quads()
-    verts = {v for q in quads for v in q}
-    edges = {
-        (q[i], q[(i + 1) % 4]) if q[i] < q[(i + 1) % 4] else (q[(i + 1) % 4], q[i])
-        for q in quads
-        for i in range(4)
-    }
-    return len(verts) - len(edges) + len(quads)
-
-
 def find_grow_order(c, options=None):
     """Find an order of c's hexes that is a legal move sequence.
 
@@ -421,24 +437,22 @@ def find_grow_order(c, options=None):
     allowed = set(options.allowed_configs)
     failed = set()
     nodes = 0
+    state = None  # (complex, boundary pattern) of the prefix being extended
 
     def extend(prefix, chosen):
-        nonlocal nodes
+        nonlocal nodes, state
         nodes += 1
         if len(prefix) == n:
             return prefix
         if chosen in failed:
             return None
-        sub = HexComplex(
-            c.vertex_count, tuple(c.hexes[i] for i in prefix)
-        )
-        bkeys = _boundary_key_set(sub)
+        sub, pattern = state
         cands = []
         for h in range(n):
             if h in chosen:
                 continue
             glued = tuple(
-                f for f in range(6) if hex_keys[h][f] in bkeys
+                f for f in range(6) if pattern.quads_with_key(hex_keys[h][f])
             )
             if 1 <= len(glued) <= 5:
                 cands.append((-len(glued), h, glued))
@@ -446,13 +460,20 @@ def find_grow_order(c, options=None):
             cfg, _ = config_for_subset(glued)
             if cfg.id not in allowed:
                 continue
-            grown = HexComplex(
-                c.vertex_count, sub.hexes + (c.hexes[h],)
+            if sub is None:  # backtracked: rebuild this prefix's state
+                sub = HexComplex(c.vertex_count, tuple(c.hexes[i] for i in prefix))
+                pattern = extract_boundary(sub)
+            targets = {
+                f: pattern.quads_with_key(hex_keys[h][f])[0] for f in glued
+            }
+            state = glue_hex(
+                sub, pattern, c.hexes[h], targets, sphere_mode=options.sphere_mode
             )
-            if not check_conformity(grown).ok:
+            if state is None:
                 continue
-            if options.sphere_mode and _euler_of_complex_boundary(grown) != 2:
-                continue
+            # hold no prefix state while deeper levels run, or memory
+            # grows with the square of the hex count
+            sub = pattern = None
             res = extend(prefix + (h,), chosen | {h})
             if res is not None:
                 return res
@@ -461,6 +482,8 @@ def find_grow_order(c, options=None):
 
     order = None
     for h0 in range(n):
+        first = HexComplex(c.vertex_count, (c.hexes[h0],))
+        state = (first, extract_boundary(first))
         order = extend((h0,), frozenset((h0,)))
         if order is not None:
             break
@@ -591,6 +614,8 @@ def save_checkpoint(ledger, directory=None):
         "format_version": FORMAT_VERSION,
         "code_layout_version": CODE_LAYOUT_VERSION,
         "layer": ledger.layer,
+        "max_hexes": ledger.max_hexes,
+        "target": None if ledger.target is None else ledger.target.hex(),
         "options": _options_to_json(ledger.options),
         "stats": ledger.stats.as_dict(),
         "files": files,
@@ -625,7 +650,18 @@ def load_checkpoint(directory):
     try:
         layer = int(manifest["layer"])
         files = list(manifest["files"])
-    except (KeyError, TypeError, ValueError) as err:
+        max_hexes = manifest["max_hexes"]
+        max_hexes = None if max_hexes is None else int(max_hexes)
+        target = manifest["target"]
+        target = None if target is None else bytes.fromhex(target)
+        stats_d = manifest.get("stats", {})
+        stats = SearchStats(
+            **{
+                f.name: int(stats_d.get(f.name, 0))
+                for f in dataclasses.fields(SearchStats)
+            }
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise CheckpointCorrupt(f"bad manifest: {err}") from None
     if len(files) != layer:
         raise CheckpointCorrupt(
@@ -683,14 +719,14 @@ def load_checkpoint(directory):
                     f"{name}:{lineno}: duplicate {parity} slot for {code_hex}"
                 )
             rec.set_slot(parity, count, witness)
-    stats_d = manifest.get("stats", {})
-    stats = SearchStats(
-        states_expanded=int(stats_d.get("states_expanded", 0)),
-        moves_tried=int(stats_d.get("moves_tried", 0)),
-        moves_valid=int(stats_d.get("moves_valid", 0)),
-        pruned=int(stats_d.get("pruned", 0)),
+    ledger = SearchLedger(
+        records=records,
+        layer=layer,
+        options=options,
+        stats=stats,
+        target=target,
+        max_hexes=max_hexes,
     )
-    ledger = SearchLedger(records=records, layer=layer, options=options, stats=stats)
 
     sample = [rec for _, rec in sorted(records.items())][:3]
     for rec in sample:

@@ -135,6 +135,18 @@ def test_search_exhausts_small_budget(capsys):
     assert "exhausted" in out
 
 
+def test_search_refuses_pruned_checkpoint_for_other_budget(capsys, tmp_path):
+    ck = str(tmp_path / "ck")
+    args = ("--target", "builtin:pyramid16", "--checkpoint", ck)
+    rc, _, _ = run(capsys, "search", *args, "--max-hexes", "3")
+    assert rc == 3
+    rc, _, err = run(capsys, "search", *args, "--max-hexes", "6")
+    assert rc == 2
+    assert "max_hexes" in err
+    rc, _, _ = run(capsys, "templates", "--checkpoint", ck, "--max-hexes", "4")
+    assert rc == 2
+
+
 def test_search_rejects_bad_config_lists(capsys):
     for bad in ("0", "1,9", "x", ""):
         rc, _, _ = run(

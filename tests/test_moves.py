@@ -5,10 +5,21 @@ from conftest import grid_complex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexpack.errors import InvalidPlacement
-from hexpack.hexmodel import check_conformity, extract_boundary, hex_parity
+from hexpack.errors import InvalidPlacement, ValidationError
+from hexpack.hexmodel import (
+    HEX_FACES,
+    HexComplex,
+    check_conformity,
+    extract_boundary,
+    face_key,
+    hex_parity,
+    oriented_key,
+)
 from hexpack.moves import (
     Placement,
+    _propagate,
+    _realize,
+    _seed_choices,
     apply_move,
     config_by_id,
     config_components,
@@ -18,7 +29,13 @@ from hexpack.moves import (
     glue_configs,
     initial_packing,
 )
-from hexpack.surface import canonical_code, euler_characteristic
+from hexpack.search import build_ledger, replay_witness
+from hexpack.surface import (
+    SurfacePattern,
+    build_pattern,
+    canonical_code,
+    euler_characteristic,
+)
 
 
 def test_glue_configs_census():
@@ -128,14 +145,19 @@ def test_quad_count_change_tracks_glued_faces():
         packing = m.complex
 
 
-def test_pocket_fill_uses_only_the_maximal_config():
-    # 3x3x2 block with one interior-top cell removed: a cavity with four
-    # walls and a floor.  The hex filling the cavity must glue all five of
-    # its quads; a three-row or four-ring glue there would leave a new
-    # face canceling a wall or the floor and is not a legal move.
+def pocket_complex():
+    """3x3x2 block with one interior-top cell removed, and its coords."""
     cells = [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
     cells.remove((1, 1, 1))
-    pocket, coords = grid_complex(cells)
+    return grid_complex(cells)
+
+
+def test_pocket_fill_uses_only_the_maximal_config():
+    # A cavity with four walls and a floor.  The hex filling the cavity
+    # must glue all five of its quads; a three-row or four-ring glue there
+    # would leave a new face canceling a wall or the floor and is not a
+    # legal move.
+    pocket, coords = pocket_complex()
     cavity = {
         i for i, p in enumerate(coords) if all(1 <= c <= 2 for c in p)
     }
@@ -247,3 +269,83 @@ def test_two_opposite_rotation_encoding():
     assert pl.rotation == 13
     token = pl.token()
     assert Placement.from_token(token) == pl
+
+
+def whole_complex_rule(packing, pattern, cfg, seeds, sphere_mode):
+    """The reference rule: identify the new hex, then check everything.
+
+    Returns (grown complex, successor quads) or None.  After the
+    identification steps it runs check_conformity on the whole grown
+    complex, build_pattern on the whole successor surface and, in sphere
+    mode, demands Euler characteristic 2.
+    """
+    res = _propagate(pattern, cfg.faces, seeds)
+    if res is None:
+        return None
+    m, targets = res
+    tvals = set(targets.values())
+    if len(set(m.values())) != len(m) or len(tvals) != len(targets):
+        return None
+    for g in range(6):
+        gc = HEX_FACES[g]
+        if g in targets or not all(c in m for c in gc):
+            continue
+        img = tuple(m[c] for c in gc)
+        for qi in pattern.quads_with_key(face_key(img)):
+            q = pattern.quads[qi]
+            if qi not in tvals and oriented_key(q) == oriented_key(img):
+                return None
+    new_hex = []
+    nxt = packing.vertex_count
+    for c in range(8):
+        if c not in m:
+            m[c] = nxt
+            nxt += 1
+        new_hex.append(m[c])
+    succ = [q for qi, q in enumerate(pattern.quads) if qi not in tvals]
+    succ += [
+        tuple(new_hex[i] for i in reversed(HEX_FACES[g]))
+        for g in range(6)
+        if g not in targets
+    ]
+    if sphere_mode and euler_characteristic(SurfacePattern(succ)) != 2:
+        return None
+    grown = HexComplex(nxt, packing.hexes + (tuple(new_hex),))
+    if not check_conformity(grown).ok:
+        return None
+    try:
+        build_pattern(succ)
+    except ValidationError:
+        return None
+    return grown, succ
+
+
+def assert_local_rule_matches_whole_complex_rule(packing, sphere_mode):
+    pattern = extract_boundary(packing)
+    for cfg in glue_configs():
+        if sphere_mode and len(config_components(cfg)) > 1:
+            continue  # enumerate_moves never tries these in sphere mode
+        for seeds, rot in _seed_choices(cfg, len(pattern.quads)):
+            got = _realize(
+                packing, pattern, cfg, seeds, rot, sphere_mode=sphere_mode,
+                reflection_invariant=True, with_code=False,
+            )
+            want = whole_complex_rule(packing, pattern, cfg, seeds, sphere_mode)
+            assert (got is None) == (want is None), (cfg.name, seeds, sphere_mode)
+            if got is not None:
+                assert got.complex == want[0]
+                assert got.pattern.quads == tuple(want[1])
+                assert got.pattern == extract_boundary(got.complex)
+
+
+@pytest.mark.parametrize("sphere_mode", [True, False])
+def test_local_move_check_matches_whole_complex_check(sphere_mode):
+    states = [
+        replay_witness(rec.witness(parity))
+        for _, rec in sorted(build_ledger(4).records.items())
+        for parity in ("odd", "even")
+        if rec.slot(parity) is not None
+    ]
+    assert len(states) == 18
+    for packing in states + [pocket_complex()[0]]:
+        assert_local_rule_matches_whole_complex_rule(packing, sphere_mode)

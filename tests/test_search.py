@@ -1,11 +1,19 @@
+import hashlib
 import os
 
 import pytest
 
 from hexpack.errors import CheckpointCorrupt, VersionMismatch
 from hexpack.hexmodel import build_complex, extract_boundary, hex_parity
-from hexpack.moves import Placement, apply_move, enumerate_placements, initial_packing
+from hexpack.moves import (
+    REJECT_REASONS,
+    Placement,
+    apply_move,
+    enumerate_placements,
+    initial_packing,
+)
 from hexpack.search import (
+    FORMAT_VERSION,
     SearchOptions,
     build_ledger,
     find_grow_order,
@@ -16,7 +24,12 @@ from hexpack.search import (
     search_min_packing,
     verify_template,
 )
-from hexpack.surface import canonical_code, code_quad_count, cube_pattern
+from hexpack.surface import (
+    canonical_code,
+    code_quad_count,
+    cube_pattern,
+    pyramid16_pattern,
+)
 
 from conftest import grid_complex
 
@@ -163,13 +176,40 @@ def test_checkpoint_rejects_version_and_garbage(tmp_path):
     with pytest.raises(VersionMismatch):
         load_checkpoint(d)
 
-    manifest["format_version"] = 1
+    manifest["format_version"] = FORMAT_VERSION
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
     with open(os.path.join(d, "layer_002.records"), "a") as fh:
         fh.write("zzzz odd\n")
     with pytest.raises(CheckpointCorrupt):
         load_checkpoint(d)
+
+
+def test_checkpoint_pruned_for_a_target_resumes_only_for_it(tmp_path):
+    # at max_hexes 3 the single-hex start cannot reach the 16-quad target,
+    # so it is pruned and the checkpoint holds one record
+    d = str(tmp_path / "ck")
+    target = canonical_code(pyramid16_pattern())
+    first = build_ledger(3, SearchOptions(checkpoint_dir=d), target=target)
+    assert first.stats.pruned == 1 and len(first.records) == 1
+    assert load_checkpoint(d).target == target
+    with pytest.raises(CheckpointCorrupt):
+        build_ledger(6, SearchOptions(checkpoint_dir=d), target=target)
+    with pytest.raises(CheckpointCorrupt):
+        find_templates(4, SearchOptions(checkpoint_dir=d))
+    again = build_ledger(3, SearchOptions(checkpoint_dir=d), target=target)
+    assert set(again.records) == set(first.records)
+
+
+def test_checkpoint_without_pruning_resumes_for_any_target(tmp_path):
+    d = str(tmp_path / "ck")
+    build_ledger(2, SearchOptions(checkpoint_dir=d))
+    target = canonical_code(pyramid16_pattern())
+    resumed = build_ledger(3, SearchOptions(checkpoint_dir=d), target=target)
+    assert resumed.stats.pruned == 1  # the 10-quad state is two moves short
+    assert len(resumed.records) == 2
+    with pytest.raises(CheckpointCorrupt):
+        build_ledger(4, SearchOptions(checkpoint_dir=d))
 
 
 def test_checkpoint_missing_layer_file(tmp_path):
@@ -194,11 +234,35 @@ def test_checkpoint_detects_witness_tampering(tmp_path):
         load_checkpoint(d)
 
 
+# Grow orders of the bundled meshes as the whole-complex move check found
+# them; the local check must pick the same order and witness.
+PINNED_GROW_ORDERS = (
+    (
+        (0, 1, 2, 8, 9, 10, 13, 3, 4, 5, 7, 6, 11, 12, 14, 15, 18, 19, 17, 20,
+         22, 24, 25, 26, 27, 16, 21, 23, 28, 29, 30, 31, 32, 33, 35, 34),
+        "ae07a09a7ca16ca521d20f55360364e4d3f82a0cd3059a47a083b9954ed5a34d",
+    ),
+    (
+        (0, 1, 2, 4, 3) + tuple(range(5, 17)),
+        "4bc0ec7848a8122e7dd4305518e79d71888b6c7cd3555701f98a3c0a89748b29",
+    ),
+    (
+        (0, 1, 2, 4, 3) + tuple(range(5, 18)),
+        "b5457ffdfc9a8cfe2aa04dabbba3acd359a4a6f5f314dfef5406d917603374ee",
+    ),
+)
+
+
 def test_grow_order_on_bundled_meshes(pyramid, odd17, even18):
-    for c in (pyramid[0], odd17, even18):
+    for c, (order, witness_sha) in zip(
+        (pyramid[0], odd17, even18), PINNED_GROW_ORDERS
+    ):
         res = find_grow_order(c)
         assert res.found
-        assert sorted(res.order) == list(range(len(c.hexes)))
+        assert res.order == order
+        assert res.nodes == len(c.hexes)  # no backtracking
+        tokens = ";".join(pl.token() for pl in res.witness)
+        assert hashlib.sha256(tokens.encode()).hexdigest() == witness_sha
         packing = replay_witness(res.witness)
         assert len(packing.hexes) == len(c.hexes)
         assert canonical_code(extract_boundary(packing)) == canonical_code(
@@ -263,6 +327,15 @@ def test_stats_are_consistent():
     assert ledger.stats.states_expanded == 2  # one expansion per layer 1, 2
     assert ledger.stats.moves_valid <= ledger.stats.moves_tried
     assert ledger.stats.moves_valid > 0
+
+
+def test_every_candidate_is_rejected_for_a_reason_or_coded(tmp_path):
+    d = str(tmp_path / "ck")
+    stats = build_ledger(4, SearchOptions(checkpoint_dir=d)).stats
+    rejected = [getattr(stats, "rejected_" + r) for r in REJECT_REASONS]
+    assert stats.moves_tried == stats.codes_computed + sum(rejected)
+    assert stats.codes_computed >= stats.moves_valid > 0
+    assert load_checkpoint(d).stats == stats
 
 
 def test_grow_order_rejects_unbuildable_input():
