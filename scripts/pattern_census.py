@@ -21,7 +21,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-hexes", type=int, default=6)
     ap.add_argument("--checkpoint", metavar="DIR", default=None)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--no-reflection", action="store_true")
     ap.add_argument("--no-sphere-mode", action="store_true")
     args = ap.parse_args(argv)
@@ -30,7 +29,6 @@ def main(argv=None):
         sphere_mode=not args.no_sphere_mode,
         reflection_invariant=not args.no_reflection,
         checkpoint_dir=args.checkpoint,
-        thread_count=args.threads,
     )
     t0 = time.perf_counter()
     ledger = build_ledger(args.max_hexes, options)

@@ -9,7 +9,7 @@ layer, and the witness plus the reconstructed mesh are written on
 success.
 
     python3 scripts/run_pyramid_search.py --max-hexes 36 \\
-        --checkpoint runs/pyramid --threads 4
+        --checkpoint runs/pyramid
 """
 
 import argparse
@@ -27,8 +27,6 @@ def parse_args(argv=None):
                     help="hex budget (default 36)")
     ap.add_argument("--checkpoint", metavar="DIR", default=None,
                     help="checkpoint directory; resumes if it exists")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="parallel expansion workers (default 1)")
     ap.add_argument("--no-reflection", action="store_true",
                     help="treat mirror-image patterns as distinct")
     ap.add_argument("--no-sphere-mode", action="store_true",
@@ -48,7 +46,6 @@ def main(argv=None):
         sphere_mode=not args.no_sphere_mode,
         reflection_invariant=not args.no_reflection,
         checkpoint_dir=args.checkpoint,
-        thread_count=args.threads,
     )
     if args.configs:
         kwargs["allowed_configs"] = tuple(

@@ -97,11 +97,10 @@ def _options_from_args(args):
         reflection_invariant=not args.no_reflection,
         allowed_configs=tuple(args.configs),
         checkpoint_dir=getattr(args, "checkpoint", None),
-        thread_count=getattr(args, "threads", 1),
     )
 
 
-def _add_search_flags(sub, with_parallel=True):
+def _add_search_flags(sub, with_checkpoint=True):
     sub.add_argument("--no-reflection", action="store_true",
                      help="treat mirror-image patterns as distinct")
     sub.add_argument("--no-sphere-mode", action="store_true",
@@ -109,8 +108,7 @@ def _add_search_flags(sub, with_parallel=True):
     sub.add_argument("--configs", type=_config_list,
                      default=tuple(range(1, 9)),
                      help="comma-separated glue config ids (default all 8)")
-    if with_parallel:
-        sub.add_argument("--threads", type=int, default=1)
+    if with_checkpoint:
         sub.add_argument("--checkpoint", metavar="DIR",
                          help="checkpoint directory (resumes if present)")
 
@@ -310,7 +308,7 @@ def _build_parser():
     p = sub.add_parser("grow-order", help="find a move sequence building a mesh")
     p.add_argument("mesh")
     p.add_argument("-o", "--out", help="write the witness to a file")
-    _add_search_flags(p, with_parallel=False)
+    _add_search_flags(p, with_checkpoint=False)
     p.set_defaults(func=cmd_grow_order)
 
     p = sub.add_parser("embed", help="embed a mesh from prescribed boundary coords")

@@ -566,9 +566,10 @@ def apply_move(packing, placement, pattern=None):
     Raises InvalidPlacement when the placement does not decode against
     the packing (stale indices, failed identification, nonconforming
     result).  The packing must be conforming, as build_complex and every
-    move make it.  The returned pattern equals the boundary of the returned
-    complex as a set of cycles; its quad order is the local revision
-    order, not extract_boundary order.
+    move make it.  The returned pattern is the boundary of the returned
+    complex: the unglued old quads in their order, then the new hex's
+    unglued faces in face order.  So when the given pattern is in
+    extract_boundary order, the returned one is too, quad for quad.
     """
     if pattern is None:
         pattern = extract_boundary(packing)

@@ -4,9 +4,8 @@ Packings grow one hex at a time from the single-hex start.  States are
 deduplicated by the canonical code of their boundary pattern; for each
 code the ledger keeps, per parity of the hex count, the smallest count
 reaching it plus one witness (the move sequence).  Expansion is layer
-synchronous and merged in a deterministic order, so results do not
-depend on thread count, and the ledger can be checkpointed at layer
-boundaries and resumed losslessly.
+synchronous and merged in a deterministic order, so the ledger can be
+checkpointed at layer boundaries and resumed losslessly.
 
 A record's packing is reconstructed from its witness when the record's
 layer is expanded; packings other than the retained witness are not
@@ -18,10 +17,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import CheckpointCorrupt, VersionMismatch
+from .errors import CheckpointCorrupt, InvalidPlacement, VersionMismatch
 from .hexmodel import (
     HEX_FACES,
     HexComplex,
@@ -65,7 +63,6 @@ class SearchOptions:
     reflection_invariant: bool = True
     allowed_configs: tuple = tuple(cfg.id for cfg in glue_configs())
     checkpoint_dir: str = None
-    thread_count: int = 1
     admissible_pruning: bool = True
 
 
@@ -188,12 +185,36 @@ def _parity_word(n):
     return "odd" if n % 2 else "even"
 
 
+def _replay(witness):
+    """(packing, boundary pattern) rebuilt from the single-hex start.
+
+    Every step is validated.  The boundary is extracted once, for the
+    start; each move's pattern keeps extract_boundary's quad order, so
+    it addresses the next placement's quads as the search did.
+    """
+    packing = initial_packing()
+    pattern = extract_boundary(packing)
+    for pl in witness:
+        packing, pattern = apply_move(packing, pl, pattern)
+    return packing, pattern
+
+
 def replay_witness(witness):
     """Rebuild a packing from the single-hex start; validates every step."""
-    c = initial_packing()
-    for pl in witness:
-        c, _ = apply_move(c, pl)
-    return c
+    return _replay(witness)[0]
+
+
+def _slot_mismatch(rec, parity, reflection_invariant):
+    """Why a record slot's witness does not rebuild it, or None if it does."""
+    try:
+        packing, pattern = _replay(rec.witness(parity))
+    except InvalidPlacement as err:
+        return f"witness does not decode: {err}"
+    if len(packing.hexes) != rec.slot(parity):
+        return f"witness builds {len(packing.hexes)} hexes"
+    if canonical_code(pattern, reflection_invariant) != rec.code:
+        return "witness does not replay to its code"
+    return None
 
 
 def _fresh_ledger(options):
@@ -205,10 +226,8 @@ def _fresh_ledger(options):
     return SearchLedger(records={code: rec}, layer=1, options=options)
 
 
-def _expand_record(args):
-    code, witness, options = args
-    packing = replay_witness(witness)
-    pattern = extract_boundary(packing)
+def _expand_record(code, witness, options):
+    packing, pattern = _replay(witness)
     counters = {}
     cands = enumerate_moves(
         packing,
@@ -268,12 +287,7 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
 
     while ledger.layer < max_hexes:
         layer = ledger.layer
-        if target is not None and any(
-            rec.slot(p) is not None
-            for rec in (ledger.records.get(target),)
-            if rec is not None
-            for p in ("odd", "even")
-        ):
+        if target in ledger.records:  # a record always holds a slot
             break
         parity = _parity_word(layer)
         frontier = [
@@ -281,7 +295,7 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
             for code, rec in sorted(ledger.records.items())
             if rec.slot(parity) == layer
         ]
-        work = []
+        work = {}  # code -> witness of each state to expand
         for code, rec in frontier:
             if (
                 target is not None
@@ -291,16 +305,11 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
             ):
                 ledger.stats.pruned += 1
                 continue
-            work.append((code, rec.witness(parity), options))
-
-        if options.thread_count > 1 and len(work) > 1:
-            with ThreadPoolExecutor(max_workers=options.thread_count) as pool:
-                results = list(pool.map(_expand_record, work))
-        else:
-            results = [_expand_record(w) for w in work]
+            work[code] = rec.witness(parity)
 
         proposals = []
-        for plist, counters in results:
+        for code, witness in work.items():
+            plist, counters = _expand_record(code, witness, options)
             proposals.extend(plist)
             ledger.stats.add_counters(counters)
             ledger.stats.moves_valid += len(plist)
@@ -308,7 +317,6 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
 
         next_parity = _parity_word(layer + 1)
         proposals.sort(key=lambda t: (t[0], t[1], t[2].sort_key()))
-        pred_witness = {code: wit for code, wit, _ in work}
         for succ_code, pred_code, placement in proposals:
             rec = ledger.records.get(succ_code)
             if rec is None:
@@ -318,17 +326,13 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
                 rec.set_slot(
                     next_parity,
                     layer + 1,
-                    pred_witness[pred_code] + (placement,),
+                    work[pred_code] + (placement,),
                 )
         ledger.layer = layer + 1
         if options.checkpoint_dir:
             save_checkpoint(ledger, options.checkpoint_dir)
         if progress is not None:
             progress(ledger)
-        if target is not None and target in ledger.records:
-            rec = ledger.records[target]
-            if rec.min_odd is not None or rec.min_even is not None:
-                break
     return ledger
 
 
@@ -371,12 +375,8 @@ def find_templates(max_hexes, options=None):
         if rec.min_odd is None or rec.min_even is None:
             continue
         for parity in ("odd", "even"):
-            packing = replay_witness(rec.witness(parity))
-            assert len(packing.hexes) == rec.slot(parity)
-            got = canonical_code(
-                extract_boundary(packing), options.reflection_invariant
-            )
-            assert got == code, "witness does not reproduce its code"
+            why = _slot_mismatch(rec, parity, options.reflection_invariant)
+            assert why is None, why
         hits.append(
             TemplateHit(
                 code,
@@ -504,24 +504,21 @@ def _order_to_witness(c, order):
     witness = []
     for hi in order[1:]:
         corners = c.hexes[hi]
-        key_to_idx = {face_key(q): qi for qi, q in enumerate(pattern.quads)}
-        actual = []
-        img_key = {}
+        glued = {}  # face -> index of the quad it covers
         for f in range(6):
             cyc = hex_face_cycle(corners, f)
             if any(v not in vmap for v in cyc):
                 continue
-            k = face_key(tuple(vmap[v] for v in cyc))
-            if k in key_to_idx:
-                actual.append(f)
-                img_key[f] = k
-        cfg, sigma = config_for_subset(tuple(actual))
+            hit = pattern.quads_with_key(face_key(tuple(vmap[v] for v in cyc)))
+            if hit:
+                glued[f] = hit[-1]
+        cfg, sigma = config_for_subset(tuple(glued))
         fperm = ROTATION_FACE_PERMS[ROTATIONS.index(sigma)]
-        quads = tuple(key_to_idx[img_key[fperm[f]]] for f in cfg.faces)
+        quads = tuple(glued[fperm[f]] for f in cfg.faces)
         rots = []
         for comp in config_components(cfg):
             f0 = comp[0]
-            target = pattern.quads[key_to_idx[img_key[fperm[f0]]]]
+            target = pattern.quads[glued[fperm[f0]]]
             imgs = [vmap[corners[sigma[v]]] for v in HEX_FACES[f0]]
             r = target.index(imgs[0])
             if any(target[(r + i) % 4] != imgs[i] for i in range(4)):
@@ -529,7 +526,7 @@ def _order_to_witness(c, order):
             rots.append(r)
         rotation = rots[0] if len(rots) == 1 else rots[0] + 4 * rots[1]
         pl = Placement(cfg.id, quads, rotation)
-        replay, _ = apply_move(replay, pl, pattern)
+        replay, pattern = apply_move(replay, pl, pattern)
         new_hex = replay.hexes[-1]
         for ci in range(8):
             ov = corners[sigma[ci]]
@@ -539,7 +536,6 @@ def _order_to_witness(c, order):
             else:
                 vmap[ov] = new_hex[ci]
         witness.append(pl)
-        pattern = extract_boundary(replay)
     return tuple(witness)
 
 
@@ -548,7 +544,6 @@ def _options_to_json(options):
         "sphere_mode": options.sphere_mode,
         "reflection_invariant": options.reflection_invariant,
         "allowed_configs": list(options.allowed_configs),
-        "thread_count": options.thread_count,
         "admissible_pruning": options.admissible_pruning,
     }
 
@@ -560,7 +555,6 @@ def _options_from_json(data, checkpoint_dir):
             reflection_invariant=bool(data["reflection_invariant"]),
             allowed_configs=tuple(int(x) for x in data["allowed_configs"]),
             checkpoint_dir=checkpoint_dir,
-            thread_count=int(data.get("thread_count", 1)),
             admissible_pruning=bool(data.get("admissible_pruning", True)),
         )
     except (KeyError, TypeError, ValueError) as err:
@@ -733,12 +727,7 @@ def load_checkpoint(directory):
         for parity in ("odd", "even"):
             if rec.slot(parity) is None:
                 continue
-            packing = replay_witness(rec.witness(parity))
-            got = canonical_code(
-                extract_boundary(packing), options.reflection_invariant
-            )
-            if got != rec.code or len(packing.hexes) != rec.slot(parity):
-                raise CheckpointCorrupt(
-                    f"record {rec.code.hex()} does not replay to its code"
-                )
+            why = _slot_mismatch(rec, parity, options.reflection_invariant)
+            if why is not None:
+                raise CheckpointCorrupt(f"{parity} record {rec.code.hex()}: {why}")
     return ledger

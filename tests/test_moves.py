@@ -255,6 +255,8 @@ def test_random_walks_preserve_invariants(seed):
         # enumerated successor pattern agrees with an independent replay
         replayed, incremental = apply_move(packing, m.placement, pattern)
         assert incremental == m.pattern
+        # quad for quad, which lets a replay carry the pattern forward
+        assert incremental.quads == extract_boundary(replayed).quads
         assert canonical_code(extract_boundary(replayed)) == canonical_code(
             m.pattern
         )

@@ -116,16 +116,6 @@ def test_admissible_pruning_never_changes_the_answer():
     assert pruned.witness == plain.witness
 
 
-def test_thread_count_does_not_change_the_ledger():
-    a = build_ledger(3, SearchOptions(thread_count=1))
-    b = build_ledger(3, SearchOptions(thread_count=3))
-    assert set(a.records) == set(b.records)
-    for code in a.records:
-        ra, rb = a.records[code], b.records[code]
-        assert (ra.min_odd, ra.min_even) == (rb.min_odd, rb.min_even)
-        assert (ra.witness_odd, ra.witness_even) == (rb.witness_odd, rb.witness_even)
-
-
 def test_checkpoint_round_trip(tmp_path):
     d = str(tmp_path / "ck")
     options = SearchOptions(checkpoint_dir=d)
@@ -150,6 +140,27 @@ def test_checkpoint_resume_is_deterministic(tmp_path):
     assert set(resumed.records) == set(fresh.records)
     for code in fresh.records:
         ra, rb = resumed.records[code], fresh.records[code]
+        assert (ra.witness_odd, ra.witness_even) == (rb.witness_odd, rb.witness_even)
+
+
+def test_checkpoint_with_an_old_thread_count_resumes(tmp_path):
+    # manifests written before the search went serial carry thread_count
+    import json
+
+    d = str(tmp_path / "ck")
+    build_ledger(2, SearchOptions(checkpoint_dir=d))
+    manifest_path = os.path.join(d, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest["options"]["thread_count"] = 2
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    resumed = build_ledger(4, SearchOptions(checkpoint_dir=d))
+    fresh = build_ledger(4)
+    assert set(resumed.records) == set(fresh.records)
+    for code in fresh.records:
+        ra, rb = resumed.records[code], fresh.records[code]
+        assert (ra.min_odd, ra.min_even) == (rb.min_odd, rb.min_even)
         assert (ra.witness_odd, ra.witness_even) == (rb.witness_odd, rb.witness_even)
 
 
@@ -231,6 +242,18 @@ def test_checkpoint_detects_witness_tampering(tmp_path):
     with open(path, "w") as fh:
         fh.write(f"{other} {parity} {count} {wit}\n")
     with pytest.raises(CheckpointCorrupt):
+        load_checkpoint(d)
+
+
+def test_checkpoint_rejects_a_witness_that_does_not_decode(tmp_path):
+    d = str(tmp_path / "ck")
+    build_ledger(2, SearchOptions(checkpoint_dir=d))
+    path = os.path.join(d, "layer_002.records")
+    with open(path) as fh:
+        code_hex, parity, count, _ = fh.read().split()
+    with open(path, "w") as fh:
+        fh.write(f"{code_hex} {parity} {count} 1:0:99\n")
+    with pytest.raises(CheckpointCorrupt, match=code_hex):
         load_checkpoint(d)
 
 
