@@ -16,8 +16,9 @@ import argparse
 import sys
 import time
 
+from hexpack.cli import _add_search_flags, _options_from_args
 from hexpack.formats import write_mesh, write_witness
-from hexpack.search import SearchOptions, build_ledger, replay_witness
+from hexpack.search import build_ledger, replay_witness
 from hexpack.surface import canonical_code, pyramid16_pattern
 
 
@@ -25,14 +26,7 @@ def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-hexes", type=int, default=36,
                     help="hex budget (default 36)")
-    ap.add_argument("--checkpoint", metavar="DIR", default=None,
-                    help="checkpoint directory; resumes if it exists")
-    ap.add_argument("--no-reflection", action="store_true",
-                    help="treat mirror-image patterns as distinct")
-    ap.add_argument("--no-sphere-mode", action="store_true",
-                    help="allow non-sphere boundary topology")
-    ap.add_argument("--configs", default=None,
-                    help="comma-separated glue config ids (default all 8)")
+    _add_search_flags(ap)
     ap.add_argument("--out", default="pyramid.witness",
                     help="witness output path (default pyramid.witness)")
     ap.add_argument("--mesh-out", default="pyramid.hexmesh",
@@ -42,16 +36,7 @@ def parse_args(argv=None):
 
 def main(argv=None):
     args = parse_args(argv)
-    kwargs = dict(
-        sphere_mode=not args.no_sphere_mode,
-        reflection_invariant=not args.no_reflection,
-        checkpoint_dir=args.checkpoint,
-    )
-    if args.configs:
-        kwargs["allowed_configs"] = tuple(
-            int(t) for t in args.configs.split(",")
-        )
-    options = SearchOptions(**kwargs)
+    options = _options_from_args(args)
     target = canonical_code(pyramid16_pattern(), options.reflection_invariant)
 
     t0 = time.perf_counter()

@@ -54,7 +54,6 @@ from .formats import (
 )
 from .geometry import (
     CORNER_NEIGHBORS,
-    OptimizeParams,
     OptimizeResult,
     QualityReport,
     corner_scaled_jacobians,

@@ -207,12 +207,7 @@ def cmd_templates(args):
 
 def cmd_grow_order(args):
     c, _ = _load_mesh(args.mesh)
-    options = SearchOptions(
-        sphere_mode=not args.no_sphere_mode,
-        reflection_invariant=not args.no_reflection,
-        allowed_configs=tuple(args.configs),
-    )
-    result = find_grow_order(c, options)
+    result = find_grow_order(c, _options_from_args(args))
     if not result.found:
         print(f"NoOrderFound: {result.reason}")
         return EXIT_VIOLATIONS

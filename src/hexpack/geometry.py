@@ -10,8 +10,8 @@ The optimizer is a two-phase penalty method.  Scaled Jacobians are
 useless for untangling (they are scale invariant, so collapsing
 elements see vanishing gradients), so phase one drives the raw corner
 determinants above a small volume-relative margin; once nothing is
-inverted, phase two pushes the scaled Jacobians above the configured
-threshold, rejecting any step that would re-invert a corner.  Both
+inverted, phase two pushes the scaled Jacobians above BARRIER_STRENGTH,
+rejecting any step that would re-invert a corner.  Both
 phases run monotone line-searched L-BFGS descent on the free vertices.
 A deliberately simple substitute for published untangling schemes,
 good enough to embed the packings produced here.
@@ -61,12 +61,13 @@ class QualityReport:
     nonpositive_count: int
 
 
-@dataclass(frozen=True)
-class OptimizeParams:
-    max_iterations: int = 10000
-    step_control: float = 1.0
-    barrier_strength: float = 0.5
-    tolerance: float = 1e-10
+# optimize_embedding's settings: the iteration budget both phases share,
+# the first trial step of each line search, the scaled Jacobian the
+# quality phase pushes every corner above, and the stall tolerance
+MAX_ITERATIONS = 10000
+STEP_CONTROL = 1.0
+BARRIER_STRENGTH = 0.5
+TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -244,14 +245,14 @@ def _det_energy(hexes, positions, delta, want_grad):
     return energy, _scatter_corner_grads(hexes, positions, gu, gv, gw)
 
 
-def penalty_energy(c, e, sigma=OptimizeParams.barrier_strength):
+def penalty_energy(c, e, sigma=BARRIER_STRENGTH):
     """Quality objective: sum over corners of max(0, sigma - s)^2."""
     positions = as_positions(e, c.vertex_count)
     energy, _ = _quality_energy(np.asarray(c.hexes), positions, sigma, False)
     return energy
 
 
-def penalty_gradient(c, e, sigma=OptimizeParams.barrier_strength):
+def penalty_gradient(c, e, sigma=BARRIER_STRENGTH):
     """Analytic gradient of penalty_energy with respect to every vertex."""
     positions = as_positions(e, c.vertex_count)
     _, grad = _quality_energy(np.asarray(c.hexes), positions, sigma, True)
@@ -358,12 +359,12 @@ def _descend(fg, positions, free, budget, step0, tolerance):
     return positions, energy, accepted, "max_iterations"
 
 
-def optimize_embedding(c, e, fixed, params=None):
+def optimize_embedding(c, e, fixed):
     """Untangle, then raise low scaled Jacobians; fixed vertices pinned.
 
     Phase one pushes raw corner determinants above a small margin so
     nothing stays inverted; phase two minimizes the scaled-Jacobian
-    penalty at params.barrier_strength and refuses steps that would
+    penalty at BARRIER_STRENGTH and refuses steps that would
     re-invert a corner.  Accepted steps always decrease the phase
     objective.  Each phase ends at zero energy, on a stall (< tolerance
     improvement over 10 iterations), when no step length helps, or when
@@ -372,8 +373,6 @@ def optimize_embedding(c, e, fixed, params=None):
     stopped for lack of progress rather than budget.  Fixed rows of the
     result are bit-identical to the input.
     """
-    if params is None:
-        params = OptimizeParams()
     positions = as_positions(e, c.vertex_count).copy()
     fixed = set(fixed)
     for vid in fixed:
@@ -395,9 +394,7 @@ def optimize_embedding(c, e, fixed, params=None):
     if len(c.hexes) == 0:
         return finish(0, 0.0, "zero_energy")
     if free.size == 0:
-        energy, _ = _quality_energy(
-            hexes, positions, params.barrier_strength, False
-        )
+        energy, _ = _quality_energy(hexes, positions, BARRIER_STRENGTH, False)
         return finish(0, energy, "zero_energy" if energy == 0.0 else "stall")
 
     dets = _corner_dets(hexes, positions)
@@ -410,9 +407,9 @@ def optimize_embedding(c, e, fixed, params=None):
             lambda p, wg: _det_energy(hexes, p, delta, wg),
             positions,
             free,
-            params.max_iterations,
-            params.step_control,
-            params.tolerance,
+            MAX_ITERATIONS,
+            STEP_CONTROL,
+            TOLERANCE,
         )
         used += steps
         if reason not in ("zero_energy",) and energy > 0.0:
@@ -423,16 +420,16 @@ def optimize_embedding(c, e, fixed, params=None):
     def quality_fg(pts, want_grad):
         if feasible and _corner_dets(hexes, pts).min() <= 0.0:
             return float("inf"), None
-        return _quality_energy(hexes, pts, params.barrier_strength, want_grad)
+        return _quality_energy(hexes, pts, BARRIER_STRENGTH, want_grad)
 
     positions, energy, steps, reason = _descend(
         quality_fg,
         positions,
         free,
-        params.max_iterations - used,
-        params.step_control,
-        params.tolerance,
+        MAX_ITERATIONS - used,
+        STEP_CONTROL,
+        TOLERANCE,
     )
-    if params.max_iterations - used == 0:
+    if MAX_ITERATIONS - used == 0:
         reason = "max_iterations"
     return finish(used + steps, energy, reason)

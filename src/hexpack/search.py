@@ -31,8 +31,6 @@ from .hexmodel import (
 )
 from .moves import (
     REJECT_REASONS,
-    ROTATION_FACE_PERMS,
-    ROTATIONS,
     Placement,
     apply_move,
     config_components,
@@ -52,18 +50,12 @@ MANIFEST_NAME = "manifest.json"
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Knobs of the layered search.
-
-    admissible_pruning only applies when a target code is set: states
-    needing more than the remaining budget of moves to reach the target
-    quad count (|dF| <= 4 per move) are not expanded.
-    """
+    """Knobs of the layered search."""
 
     sphere_mode: bool = True
     reflection_invariant: bool = True
     allowed_configs: tuple = tuple(cfg.id for cfg in glue_configs())
     checkpoint_dir: str = None
-    admissible_pruning: bool = True
 
 
 @dataclass
@@ -128,8 +120,8 @@ class PatternRecord:
 class SearchLedger:
     """The records up to layer, and the run that wrote them.
 
-    target and max_hexes are those of the last build_ledger call; with
-    admissible pruning they decide which states were left unexpanded.
+    target and max_hexes are those of the last build_ledger call; they
+    decide which states admissible pruning left unexpanded.
     """
 
     records: dict
@@ -245,12 +237,13 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
     """Run the layered search up to max_hexes; returns the ledger.
 
     With a target code the loop additionally stops at the first layer
-    containing the target and, when admissible_pruning is on, skips
-    states that cannot reach the target's quad count in the remaining
-    budget.  A checkpoint directory in the options makes the run
-    resumable: an existing checkpoint is loaded and continued.  A
-    checkpoint in which pruning skipped states only resumes with the same
-    target and max_hexes; any other resume raises CheckpointCorrupt.
+    containing the target, and admissible pruning skips states that
+    cannot reach the target's quad count in the remaining budget of
+    moves (|dF| <= 4 per move).  A checkpoint directory in the options
+    makes the run resumable: an existing checkpoint is loaded and
+    continued.  A checkpoint in which pruning skipped states only
+    resumes with the same target and max_hexes; any other resume raises
+    CheckpointCorrupt.
     """
     if options is None:
         options = SearchOptions()
@@ -299,7 +292,6 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
         for code, rec in frontier:
             if (
                 target is not None
-                and options.admissible_pruning
                 and -(-abs(target_quads - rec.quad_count) // 4)
                 > max_hexes - layer
             ):
@@ -418,10 +410,13 @@ def verify_template(a, b, reflection_invariant=True):
 def find_grow_order(c, options=None):
     """Find an order of c's hexes that is a legal move sequence.
 
-    Backtracks over prefixes (memoizing failed hex sets); on success the
-    ordering is converted to a witness replaying to a packing whose
-    boundary code equals c's.  Returns GrowOrderResult with found=False
-    and a reason when no order exists under the configured move rules.
+    Backtracks over prefixes, memoizing failed hex sets.  Each hex is
+    glued turned to its config's representative, as a move places it, so
+    the glue yields its placement and the prefix's boundary keeps the
+    quad order a replay of the witness has.  The finished witness is
+    replayed once and must rebuild c hex for hex.  Returns
+    GrowOrderResult with found=False and a reason when no order exists
+    under the configured move rules.
     """
     if options is None:
         options = SearchOptions()
@@ -438,6 +433,8 @@ def find_grow_order(c, options=None):
     failed = set()
     nodes = 0
     state = None  # (complex, boundary pattern) of the prefix being extended
+    placed = []  # the prefix's hexes, turned as they were glued
+    witness = []  # the prefix's placements
 
     def extend(prefix, chosen):
         nonlocal nodes, state
@@ -457,32 +454,50 @@ def find_grow_order(c, options=None):
             if 1 <= len(glued) <= 5:
                 cands.append((-len(glued), h, glued))
         for _, h, glued in sorted(cands):
-            cfg, _ = config_for_subset(glued)
+            cfg, sigma = config_for_subset(glued)
             if cfg.id not in allowed:
                 continue
             if sub is None:  # backtracked: rebuild this prefix's state
-                sub = HexComplex(c.vertex_count, tuple(c.hexes[i] for i in prefix))
+                sub = HexComplex(c.vertex_count, tuple(placed))
                 pattern = extract_boundary(sub)
+            corners = tuple(c.hexes[h][s] for s in sigma)
             targets = {
-                f: pattern.quads_with_key(hex_keys[h][f])[0] for f in glued
+                f: pattern.quads_with_key(
+                    face_key(hex_face_cycle(corners, f))
+                )[0]
+                for f in cfg.faces
             }
             state = glue_hex(
-                sub, pattern, c.hexes[h], targets, sphere_mode=options.sphere_mode
+                sub, pattern, corners, targets, sphere_mode=options.sphere_mode
             )
             if state is None:
                 continue
+            # each component's seed rotation: where the first corner of
+            # its first face sits in the quad that face covers
+            rots = [
+                pattern.quads[targets[f0]].index(corners[HEX_FACES[f0][0]])
+                for f0, *_ in config_components(cfg)
+            ]
+            rotation = rots[0] if len(rots) == 1 else rots[0] + 4 * rots[1]
+            placed.append(corners)
+            witness.append(
+                Placement(cfg.id, tuple(targets[f] for f in cfg.faces), rotation)
+            )
             # hold no prefix state while deeper levels run, or memory
             # grows with the square of the hex count
             sub = pattern = None
             res = extend(prefix + (h,), chosen | {h})
             if res is not None:
                 return res
+            placed.pop()
+            witness.pop()
         failed.add(chosen)
         return None
 
     order = None
     for h0 in range(n):
-        first = HexComplex(c.vertex_count, (c.hexes[h0],))
+        placed[:] = [c.hexes[h0]]
+        first = HexComplex(c.vertex_count, tuple(placed))
         state = (first, extract_boundary(first))
         order = extend((h0,), frozenset((h0,)))
         if order is not None:
@@ -491,52 +506,15 @@ def find_grow_order(c, options=None):
         return GrowOrderResult(
             False, None, None, nodes, "no grow order under the move rules"
         )
-    witness = _order_to_witness(c, order)
+    witness = tuple(witness)
+    try:
+        rebuilt = _replay(witness)[0].hexes
+    except InvalidPlacement as err:
+        raise AssertionError(f"grow order witness does not decode: {err}") from None
+    pairs = {(u, v) for ph, rh in zip(placed, rebuilt) for u, v in zip(ph, rh)}
+    if len(dict(pairs)) != len(pairs) or len({v for _, v in pairs}) != len(pairs):
+        raise AssertionError("grow order witness does not rebuild the complex")
     return GrowOrderResult(True, order, witness, nodes)
-
-
-def _order_to_witness(c, order):
-    """Convert a valid hex ordering into a placement sequence."""
-    replay = initial_packing()
-    pattern = extract_boundary(replay)
-    first = c.hexes[order[0]]
-    vmap = {first[i]: i for i in range(8)}
-    witness = []
-    for hi in order[1:]:
-        corners = c.hexes[hi]
-        glued = {}  # face -> index of the quad it covers
-        for f in range(6):
-            cyc = hex_face_cycle(corners, f)
-            if any(v not in vmap for v in cyc):
-                continue
-            hit = pattern.quads_with_key(face_key(tuple(vmap[v] for v in cyc)))
-            if hit:
-                glued[f] = hit[-1]
-        cfg, sigma = config_for_subset(tuple(glued))
-        fperm = ROTATION_FACE_PERMS[ROTATIONS.index(sigma)]
-        quads = tuple(glued[fperm[f]] for f in cfg.faces)
-        rots = []
-        for comp in config_components(cfg):
-            f0 = comp[0]
-            target = pattern.quads[glued[fperm[f0]]]
-            imgs = [vmap[corners[sigma[v]]] for v in HEX_FACES[f0]]
-            r = target.index(imgs[0])
-            if any(target[(r + i) % 4] != imgs[i] for i in range(4)):
-                raise AssertionError("glued face does not align with its quad")
-            rots.append(r)
-        rotation = rots[0] if len(rots) == 1 else rots[0] + 4 * rots[1]
-        pl = Placement(cfg.id, quads, rotation)
-        replay, pattern = apply_move(replay, pl, pattern)
-        new_hex = replay.hexes[-1]
-        for ci in range(8):
-            ov = corners[sigma[ci]]
-            if ov in vmap:
-                if vmap[ov] != new_hex[ci]:
-                    raise AssertionError("vertex map mismatch during replay")
-            else:
-                vmap[ov] = new_hex[ci]
-        witness.append(pl)
-    return tuple(witness)
 
 
 def _options_to_json(options):
@@ -544,7 +522,6 @@ def _options_to_json(options):
         "sphere_mode": options.sphere_mode,
         "reflection_invariant": options.reflection_invariant,
         "allowed_configs": list(options.allowed_configs),
-        "admissible_pruning": options.admissible_pruning,
     }
 
 
@@ -555,7 +532,6 @@ def _options_from_json(data, checkpoint_dir):
             reflection_invariant=bool(data["reflection_invariant"]),
             allowed_configs=tuple(int(x) for x in data["allowed_configs"]),
             checkpoint_dir=checkpoint_dir,
-            admissible_pruning=bool(data.get("admissible_pruning", True)),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointCorrupt(f"bad options in manifest: {err}") from None

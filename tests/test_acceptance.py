@@ -12,7 +12,7 @@ from pathlib import Path
 
 from hexpack.fixtures import parity_even18, parity_odd17, pyramid36
 from hexpack.geometry import (
-    OptimizeParams,
+    MAX_ITERATIONS,
     init_interior,
     optimize_embedding,
     pyramid_boundary_coords,
@@ -170,7 +170,7 @@ def test_criterion_6_embedding_quality(capsys):
         # from the boundary alone: harmonic init, then untangle
         fixed = pyramid_boundary_coords()
         result = optimize_embedding(c, init_interior(c, fixed), fixed=fixed)
-        assert result.iterations <= OptimizeParams().max_iterations
+        assert result.iterations <= MAX_ITERATIONS
         assert result.report.nonpositive_count == 0
         assert result.report.global_min > 0.0
 

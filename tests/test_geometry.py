@@ -7,7 +7,8 @@ from conftest import UNIT_CUBE_COORDS, grid_complex
 from hexpack.errors import DegenerateEdge, MissingCoordinates
 from hexpack.geometry import (
     CORNER_NEIGHBORS,
-    OptimizeParams,
+    BARRIER_STRENGTH,
+    MAX_ITERATIONS,
     as_positions,
     corner_scaled_jacobians,
     det_penalty_energy,
@@ -240,10 +241,10 @@ def test_jittered_lattice_recovers():
     start = coords.copy()
     start[interior[0]] += (0.38, -0.27, 0.24)
     before = quality_report(c, start).global_min
-    assert 0.0 < before < OptimizeParams().barrier_strength
+    assert 0.0 < before < BARRIER_STRENGTH
     res = optimize_embedding(c, start, fixed=boundary)
     assert res.stop_reason == "zero_energy"
-    assert res.report.global_min >= OptimizeParams().barrier_strength
+    assert res.report.global_min >= BARRIER_STRENGTH
     assert res.report.global_min > before  # monotone line search never loses
     for vid in boundary:
         assert (res.embedding[vid] == coords[vid]).all()
@@ -278,7 +279,7 @@ def test_pyramid_untangles_from_harmonic_start(pyramid):
     res = optimize_embedding(c, start, fixed=fixed)
     assert res.report.nonpositive_count == 0
     assert res.report.global_min > 0.05
-    assert res.iterations <= OptimizeParams().max_iterations
+    assert res.iterations <= MAX_ITERATIONS
     assert not res.non_improvable
     for vid in fixed:
         assert (res.embedding[vid] == np.array(fixed[vid])).all()

@@ -4,6 +4,8 @@ import importlib.util
 import os
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -35,3 +37,15 @@ def test_run_pyramid_search_exhausts_a_small_budget(tmp_path, capsys):
     assert "exhausted: no packing within 3 hexes" in out
     assert os.path.exists(tmp_path / "ck" / "manifest.json")
     assert not witness.exists() and not mesh.exists()
+
+
+@pytest.mark.parametrize("configs", ["9", "x"])
+def test_run_pyramid_search_rejects_bad_configs(tmp_path, configs):
+    with pytest.raises(SystemExit) as err:
+        load_script("run_pyramid_search").main([
+            "--max-hexes", "3",
+            "--configs", configs,
+            "--checkpoint", str(tmp_path / "ck"),
+        ])
+    assert err.value.code == 2
+    assert not (tmp_path / "ck").exists()

@@ -101,19 +101,17 @@ def test_search_exhausts_honestly():
 
 
 def test_admissible_pruning_never_changes_the_answer():
-    start = initial_packing()
-    packing, _ = apply_move(start, enumerate_placements(start)[0])
-    pruned = search_min_packing(
-        canonical_code(extract_boundary(packing)), 4,
-        SearchOptions(admissible_pruning=True),
-    )
-    plain = search_min_packing(
-        canonical_code(extract_boundary(packing)), 4,
-        SearchOptions(admissible_pruning=False),
-    )
-    assert pruned.found == plain.found
-    assert pruned.count == plain.count
-    assert pruned.witness == plain.witness
+    # a straight column of four cells has 18 boundary quads; at layer 3
+    # the 12-quad state cannot gain 6 quads in the one move left
+    column, _ = grid_complex([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
+    target = canonical_code(extract_boundary(column))
+    assert code_quad_count(target) == 18
+    pruned = search_min_packing(target, 4)
+    assert pruned.ledger.stats.pruned == 1
+    plain = build_ledger(4).records[target]
+    assert pruned.found
+    assert pruned.count == plain.min_even
+    assert pruned.witness == plain.witness_even
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -291,6 +289,46 @@ def test_grow_order_on_bundled_meshes(pyramid, odd17, even18):
         assert canonical_code(extract_boundary(packing)) == canonical_code(
             extract_boundary(c)
         )
+
+
+# Grow orders under configs 1, 2 and 4 that are found only after the
+# search backs out of a dead end and rebuilds a prefix's state.  In the
+# second, the order found goes on from a rebuilt prefix of turned hexes.
+BACKTRACKING_GROW_ORDERS = (
+    (
+        [(1, 0, 0), (0, 1, 0), (0, 0, 0), (-1, 0, 0), (3, 0, 0),
+         (1, 1, 0), (1, -1, 0), (2, 0, 0), (0, -1, 0)],
+        (0, 5, 1, 6, 7, 4, 8, 2, 3),
+        145,
+        "633b37ee2055139a8896fa44995cf9c7574b8bd8ede76b4f38d64f785e88d736",
+    ),
+    (
+        [(0, 0, -1), (0, -2, -1), (0, -1, -1), (0, 0, 1), (0, -1, 0),
+         (0, -2, 0), (0, 0, 0)],
+        (0, 2, 1, 5, 6, 4, 3),
+        8,
+        "bcdabb5e46976e1abbd92b9df07cb45fe53d4b576f50b0ae044e134aa24a58e0",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "cells, order, nodes, witness_sha",
+    BACKTRACKING_GROW_ORDERS,
+    ids=("nine-cells", "seven-cells"),
+)
+def test_grow_order_found_after_backtracking(cells, order, nodes, witness_sha):
+    c, _ = grid_complex(cells)
+    res = find_grow_order(c, SearchOptions(allowed_configs=(1, 2, 4)))
+    assert res.found
+    assert res.order == order
+    assert res.nodes == nodes
+    tokens = ";".join(pl.token() for pl in res.witness)
+    assert hashlib.sha256(tokens.encode()).hexdigest() == witness_sha
+    packing = replay_witness(res.witness)
+    assert canonical_code(extract_boundary(packing)) == canonical_code(
+        extract_boundary(c)
+    )
 
 
 def test_grow_order_respects_sphere_mode():
