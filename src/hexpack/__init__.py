@@ -88,7 +88,6 @@ from .moves import (
     config_components,
     config_for_subset,
     enumerate_moves,
-    enumerate_placements,
     glue_configs,
     initial_packing,
 )

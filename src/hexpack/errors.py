@@ -62,27 +62,49 @@ class SharedFaceCountExceeded(ValidationError):
 
 
 class NonManifoldBoundary(ValidationError):
-    pass
+    """The boundary is not a closed orientable surface; the subclasses
+    below name the way it fails."""
 
 
 class NonConformingInput(ValidationError):
     pass
 
 
-class NonManifoldEdge(ValidationError):
+class NonManifoldEdge(NonManifoldBoundary):
     pass
 
 
-class InconsistentOrientation(ValidationError):
+class InconsistentOrientation(NonManifoldBoundary):
     pass
 
 
-class Disconnected(ValidationError):
+class Disconnected(NonManifoldBoundary):
     pass
 
 
-class PinchedVertex(ValidationError):
+class PinchedVertex(NonManifoldBoundary):
     pass
+
+
+# The error each Violation kind raises; other kinds raise ValidationError.
+_KIND_TO_ERROR = {
+    "IndexOutOfRange": IndexOutOfRange,
+    "DegenerateHex": DegenerateHex,
+    "DuplicateHex": DuplicateHex,
+    "NonConformingFace": NonConformingFace,
+    "SharedFaceCountExceeded": SharedFaceCountExceeded,
+    "NonManifoldEdge": NonManifoldEdge,
+    "InconsistentOrientation": InconsistentOrientation,
+    "Disconnected": Disconnected,
+    "PinchedVertex": PinchedVertex,
+    "DegenerateQuad": NonManifoldBoundary,
+}
+
+
+def raise_violations(violations):
+    """Raise the error of the first violation's kind, carrying them all."""
+    first = violations[0]
+    raise _KIND_TO_ERROR.get(first.kind, ValidationError)(str(first), violations)
 
 
 class InvalidPlacement(HexpackError):

@@ -100,12 +100,14 @@ def as_positions(e, vertex_count):
     return out
 
 
-def _edge_frames(c, positions):
-    corners = positions[np.asarray(c.hexes)]  # (H, 8, 3)
-    u = corners[:, _NA] - corners
-    v = corners[:, _NB] - corners
-    w = corners[:, _NC] - corners
-    return u, v, w
+def _frames(hexes, positions):
+    """The three edge vectors leaving every hex corner, each (H, 8, 3)."""
+    corners = positions[hexes]
+    return (
+        corners[:, _NA] - corners,
+        corners[:, _NB] - corners,
+        corners[:, _NC] - corners,
+    )
 
 
 def corner_scaled_jacobians(c, e):
@@ -113,7 +115,7 @@ def corner_scaled_jacobians(c, e):
     positions = as_positions(e, c.vertex_count)
     if len(c.hexes) == 0:
         return np.empty((0, 8), dtype=float)
-    u, v, w = _edge_frames(c, positions)
+    u, v, w = _frames(np.asarray(c.hexes), positions)
     a = np.linalg.norm(u, axis=2)
     b = np.linalg.norm(v, axis=2)
     d = np.linalg.norm(w, axis=2)
@@ -141,12 +143,16 @@ def pyramid_boundary_coords():
     return {vid: coords[vid] for vid in boundary}
 
 
-def init_interior(c, fixed, tolerance=1e-9, max_sweeps=100000):
+# the most Jacobi sweeps init_interior runs
+INIT_MAX_SWEEPS = 100000
+
+
+def init_interior(c, fixed, tolerance=1e-9):
     """Average interior vertices over their edge neighbors until settled.
 
     fixed maps exactly the boundary vertices to coordinates; those rows
     are returned untouched.  Jacobi sweeps run until the largest
-    coordinate change drops below tolerance.
+    coordinate change drops below tolerance, or INIT_MAX_SWEEPS times.
     """
     boundary, interior = classify_vertices(c)
     bset = set(boundary)
@@ -173,7 +179,7 @@ def init_interior(c, fixed, tolerance=1e-9, max_sweeps=100000):
     rows = np.array(sorted(pairs))
     counts = np.bincount(rows[:, 0], minlength=c.vertex_count).reshape(-1, 1)
     ilist = list(interior)
-    for _ in range(max_sweeps):
+    for _ in range(INIT_MAX_SWEEPS):
         sums = np.zeros_like(positions)
         np.add.at(sums, rows[:, 0], positions[rows[:, 1]])
         new = sums / np.maximum(counts, 1)
@@ -185,10 +191,7 @@ def init_interior(c, fixed, tolerance=1e-9, max_sweeps=100000):
 
 
 def _corner_dets(hexes, positions):
-    corners = positions[hexes]
-    u = corners[:, _NA] - corners
-    v = corners[:, _NB] - corners
-    w = corners[:, _NC] - corners
+    u, v, w = _frames(hexes, positions)
     return np.einsum("hci,hci->hc", u, np.cross(v, w))
 
 
@@ -202,10 +205,7 @@ def _scatter_corner_grads(hexes, positions, gu, gv, gw):
 
 
 def _quality_energy(hexes, positions, sigma, want_grad):
-    corners = positions[hexes]
-    u = corners[:, _NA] - corners
-    v = corners[:, _NB] - corners
-    w = corners[:, _NC] - corners
+    u, v, w = _frames(hexes, positions)
     a2 = np.einsum("hci,hci->hc", u, u)
     b2 = np.einsum("hci,hci->hc", v, v)
     c2 = np.einsum("hci,hci->hc", w, w)
@@ -228,10 +228,7 @@ def _quality_energy(hexes, positions, sigma, want_grad):
 
 
 def _det_energy(hexes, positions, delta, want_grad):
-    corners = positions[hexes]
-    u = corners[:, _NA] - corners
-    v = corners[:, _NB] - corners
-    w = corners[:, _NC] - corners
+    u, v, w = _frames(hexes, positions)
     vw = np.cross(v, w)
     det = np.einsum("hci,hci->hc", u, vw)
     gap = np.maximum(delta - det, 0.0)

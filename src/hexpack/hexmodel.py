@@ -15,15 +15,10 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
-    DegenerateHex,
-    DuplicateHex,
     IndexOutOfRange,
-    NonConformingFace,
     NonConformingInput,
-    NonManifoldBoundary,
-    SharedFaceCountExceeded,
-    ValidationError,
     Violation,
+    raise_violations,
 )
 
 # Corner positions of the reference cube, indexed by corner id.
@@ -120,15 +115,12 @@ class HexComplex:
         return hex_face_cycle(self.hexes[hi], f)
 
     def boundary_items(self):
-        """(hex index, face index) pairs of incidence-1 faces, in hex order."""
-        counts = self.face_index
-        out = []
-        for hi, corners in enumerate(self.hexes):
-            for f in range(6):
-                key = face_key(hex_face_cycle(corners, f))
-                if len(counts[key]) == 1:
-                    out.append((hi, f))
-        return out
+        """(hex index, face index) pairs of incidence-1 faces, in hex order.
+
+        face_index inserts its keys in (hex, face) order, so its
+        single incidences come out in that order too.
+        """
+        return [inc[0] for inc in self.face_index.values() if len(inc) == 1]
 
     def boundary_quads(self):
         """Outward-oriented boundary quad cycles, in (hex, face) order."""
@@ -167,26 +159,6 @@ class ConformityReport:
         return not self.violations
 
 
-_KIND_TO_ERROR = {
-    "IndexOutOfRange": IndexOutOfRange,
-    "DegenerateHex": DegenerateHex,
-    "DuplicateHex": DuplicateHex,
-    "NonConformingFace": NonConformingFace,
-    "SharedFaceCountExceeded": SharedFaceCountExceeded,
-    "NonManifoldEdge": NonManifoldBoundary,
-    "InconsistentOrientation": NonManifoldBoundary,
-    "Disconnected": NonManifoldBoundary,
-    "PinchedVertex": NonManifoldBoundary,
-    "DegenerateQuad": NonManifoldBoundary,
-}
-
-
-def _raise_violations(violations):
-    first = violations[0]
-    err = _KIND_TO_ERROR.get(first.kind, ValidationError)
-    raise err(str(first), violations)
-
-
 def build_complex(hexes, vertex_count=None):
     """Build a validated HexComplex from 8-tuples of vertex ids.
 
@@ -214,7 +186,7 @@ def build_complex(hexes, vertex_count=None):
             )
         max_id = max(max_id, *h)
     if violations:
-        _raise_violations(violations)
+        raise_violations(violations)
     if vertex_count is None:
         vertex_count = max_id + 1
     elif max_id >= vertex_count:
@@ -225,7 +197,7 @@ def build_complex(hexes, vertex_count=None):
     c = HexComplex(vertex_count, hexes)
     report = check_conformity(c)
     if not report.ok:
-        _raise_violations(report.violations)
+        raise_violations(report.violations)
     return c
 
 
@@ -389,13 +361,14 @@ def boundary_violations(quads):
 
 
 def extract_boundary(c):
-    """The outward-oriented boundary of a complex as a SurfacePattern."""
+    """The outward-oriented boundary of a complex as a SurfacePattern.
+
+    Raises a NonManifoldBoundary subclass when it is not a closed
+    orientable surface.
+    """
     from . import surface
 
-    try:
-        return surface.build_pattern(c.boundary_quads())
-    except ValidationError as err:
-        raise NonManifoldBoundary(str(err), err.violations) from err
+    return surface.build_pattern(c.boundary_quads())
 
 
 def classify_vertices(c):

@@ -242,8 +242,8 @@ class Placement:
 
     quads lists the target quad index for each representative face in
     sorted face order; indices refer to extract_boundary order of the
-    packing the placement applies to.  rotation is 0..3, except for the
-    two-opposite config where it packs both seeds as r0 + 4*r1.
+    packing the placement applies to.  rotation packs one seed rotation
+    0..3 per face component of the config (see encode_rotation).
     """
 
     config_id: int
@@ -266,15 +266,33 @@ class Placement:
         return (self.config_id, self.quads, self.rotation)
 
 
+def encode_rotation(rots):
+    """Placement.rotation from the seed rotations of a config's face
+    components, first component first: r0, or r0 + 4*r1 for the
+    two-opposite config."""
+    return sum(r << 2 * i for i, r in enumerate(rots))
+
+
+def decode_rotation(cfg, rotation):
+    """The per-component seed rotations packed in a placement's rotation."""
+    n = len(_COMPONENTS[cfg.id])
+    if not 0 <= rotation < 4**n:
+        raise InvalidPlacement(f"rotation {rotation} out of range")
+    return tuple(rotation >> 2 * i & 3 for i in range(n))
+
+
 @dataclass(frozen=True)
 class MoveResult:
-    """A realized candidate: the placement plus its effect."""
+    """A realized candidate: the placement plus its effect.
+
+    code is the successor's canonical code when enumerate_moves
+    deduplicates by successor, else b"".
+    """
 
     placement: Placement
     complex: HexComplex
     pattern: SurfacePattern
     code: bytes
-    targets: dict
 
 
 def _propagate(pattern, faces, seeds):
@@ -409,12 +427,13 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     return grown, SurfacePattern(succ_quads)
 
 
-def _realize(packing, pattern, cfg, seeds, rotation_code, *, sphere_mode,
-             reflection_invariant, with_code, counters=None):
-    """Validate one candidate attachment; None when it is not a legal move.
+def _realize(packing, pattern, cfg, seeds, rotation, *, sphere_mode,
+             counters=None):
+    """Validate one candidate attachment and build it: a MoveResult
+    without a code, or None when it is not a legal move.
 
     counters, when given, counts the rejection under its reason (one of
-    REJECT_REASONS) or, with with_code, the code computed under "codes".
+    REJECT_REASONS).
     """
     res = _propagate(pattern, cfg.faces, seeds)
     if res is None:
@@ -455,56 +474,40 @@ def _realize(packing, pattern, cfg, seeds, rotation_code, *, sphere_mode,
     )
     if grown is None:
         return None
-    c2, succ_pattern = grown
-    code = b""
-    if with_code:
-        code = canonical_code(succ_pattern, reflection_invariant)
-        if counters is not None:
-            counters["codes"] = counters.get("codes", 0) + 1
     placement = Placement(
-        cfg.id, tuple(targets[f] for f in cfg.faces), rotation_code
+        cfg.id, tuple(targets[f] for f in cfg.faces), rotation
     )
-    return MoveResult(placement, c2, succ_pattern, code, targets)
+    return MoveResult(placement, *grown, b"")
 
 
 def _seed_choices(cfg, nquads):
-    comps = _COMPONENTS[cfg.id]
-    if len(comps) == 1:
-        f0 = comps[0][0]
-        for t in range(nquads):
-            for r in range(4):
-                yield ((f0, t, r),), r
-    else:
-        f0 = comps[0][0]
-        f1 = comps[1][0]
-        for t0 in range(nquads):
-            for r0 in range(4):
-                for t1 in range(nquads):
-                    if t1 == t0:
-                        continue
-                    for r1 in range(4):
-                        yield ((f0, t0, r0), (f1, t1, r1)), r0 + 4 * r1
+    """Every seeding of a config, with its packed rotation: the first
+    face of each face component on a quad of its own, at a rotation."""
+    firsts = [comp[0] for comp in _COMPONENTS[cfg.id]]
+    rotations = [
+        (rots, encode_rotation(rots))
+        for rots in itertools.product(range(4), repeat=len(firsts))
+    ]
+    for quads in itertools.permutations(range(nquads), len(firsts)):
+        for rots, rotation in rotations:
+            yield tuple(zip(firsts, quads, rots)), rotation
 
 
 def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
                     reflection_invariant=True, dedup_by_successor=True,
-                    with_codes=True, counters=None):
+                    counters=None):
     """All legal attachments of one new hex, as MoveResults.
 
-    Results are sorted by (successor code, placement); with
-    dedup_by_successor only the first placement per successor code is
-    kept.  The pattern argument must be extract_boundary(packing) (it is
-    computed when omitted).  counters, if given, is a dict whose "tried"
-    entry is incremented per candidate seeding examined; each rejected
-    seeding also counts under its reason (see REJECT_REASONS) and each
-    successor code computed under "codes".
-
-    with_codes=False skips successor code computation (result .code is
-    b"", order falls back to placement alone); it only combines with
-    dedup_by_successor=False since dedup needs the codes.
+    With dedup_by_successor each result carries its successor's
+    canonical code, results are sorted by (code, placement) and only the
+    first placement per code is kept.  Without it every legal placement
+    is returned, sorted by placement, with code b"".  The pattern
+    argument must be extract_boundary(packing) (it is computed when
+    omitted).  counters, if given, is a dict whose "tried" entry is
+    incremented per candidate seeding examined; each rejected seeding
+    also counts under its reason (see REJECT_REASONS) and each successor
+    code computed under "codes".
     """
-    if dedup_by_successor and not with_codes:
-        raise ValueError("dedup_by_successor requires with_codes")
     if pattern is None:
         pattern = extract_boundary(packing)
     nquads = len(pattern.quads)
@@ -519,18 +522,17 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
             if counters is not None:
                 counters["tried"] = counters.get("tried", 0) + 1
             cand = _realize(
-                packing,
-                pattern,
-                cfg,
-                seeds,
-                rot,
-                sphere_mode=sphere_mode,
-                reflection_invariant=reflection_invariant,
-                with_code=with_codes,
-                counters=counters,
+                packing, pattern, cfg, seeds, rot,
+                sphere_mode=sphere_mode, counters=counters,
             )
-            if cand is not None:
-                out.append(cand)
+            if cand is None:
+                continue
+            if dedup_by_successor:
+                code = canonical_code(cand.pattern, reflection_invariant)
+                cand = MoveResult(cand.placement, cand.complex, cand.pattern, code)
+                if counters is not None:
+                    counters["codes"] = counters.get("codes", 0) + 1
+            out.append(cand)
     out.sort(key=lambda c: (c.code, c.placement.sort_key()))
     if not dedup_by_successor:
         return out
@@ -541,23 +543,6 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
             seen.add(cand.code)
             kept.append(cand)
     return kept
-
-
-def enumerate_placements(packing, pattern=None, allowed=None, *,
-                         sphere_mode=True, reflection_invariant=True,
-                         dedup_by_successor=True):
-    """Like enumerate_moves but returning only the Placement objects."""
-    return [
-        c.placement
-        for c in enumerate_moves(
-            packing,
-            pattern,
-            allowed,
-            sphere_mode=sphere_mode,
-            reflection_invariant=reflection_invariant,
-            dedup_by_successor=dedup_by_successor,
-        )
-    ]
 
 
 def apply_move(packing, placement, pattern=None):
@@ -574,7 +559,6 @@ def apply_move(packing, placement, pattern=None):
     if pattern is None:
         pattern = extract_boundary(packing)
     cfg = config_by_id(placement.config_id)
-    comps = _COMPONENTS[cfg.id]
     if len(placement.quads) != len(cfg.faces):
         raise InvalidPlacement(
             f"expected {len(cfg.faces)} glued quads, got {len(placement.quads)}"
@@ -582,26 +566,14 @@ def apply_move(packing, placement, pattern=None):
     nquads = len(pattern.quads)
     if any(not 0 <= q < nquads for q in placement.quads):
         raise InvalidPlacement("glued quad index out of range")
-    rot_limit = 4 if len(comps) == 1 else 16
-    if not 0 <= placement.rotation < rot_limit:
-        raise InvalidPlacement(f"rotation {placement.rotation} out of range")
+    rots = decode_rotation(cfg, placement.rotation)
     by_face = dict(zip(cfg.faces, placement.quads))
-    if len(comps) == 1:
-        seeds = ((comps[0][0], by_face[comps[0][0]], placement.rotation),)
-    else:
-        seeds = (
-            (comps[0][0], by_face[comps[0][0]], placement.rotation % 4),
-            (comps[1][0], by_face[comps[1][0]], placement.rotation // 4),
-        )
+    seeds = tuple(
+        (comp[0], by_face[comp[0]], r)
+        for comp, r in zip(_COMPONENTS[cfg.id], rots)
+    )
     cand = _realize(
-        packing,
-        pattern,
-        cfg,
-        seeds,
-        placement.rotation,
-        sphere_mode=False,
-        reflection_invariant=True,
-        with_code=False,
+        packing, pattern, cfg, seeds, placement.rotation, sphere_mode=False
     )
     if cand is None or cand.placement.quads != placement.quads:
         raise InvalidPlacement(

@@ -35,6 +35,7 @@ from .moves import (
     apply_move,
     config_components,
     config_for_subset,
+    encode_rotation,
     enumerate_moves,
     glue_configs,
     glue_hex,
@@ -46,6 +47,8 @@ FORMAT_VERSION = 2
 CODE_LAYOUT_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
+
+_NO_ORDER = "no grow order under the move rules"
 
 
 @dataclass(frozen=True)
@@ -410,7 +413,9 @@ def verify_template(a, b, reflection_invariant=True):
 def find_grow_order(c, options=None):
     """Find an order of c's hexes that is a legal move sequence.
 
-    Backtracks over prefixes, memoizing failed hex sets.  Each hex is
+    A complex whose interior face count no n - 1 allowed glues can
+    cover is refused at once, with nodes 0.  Otherwise this backtracks
+    over prefixes, memoizing failed hex sets.  Each hex is
     glued turned to its config's representative, as a move places it, so
     the glue yields its placement and the prefix's boundary keeps the
     quad order a replay of the witness has.  The finished witness is
@@ -423,13 +428,22 @@ def find_grow_order(c, options=None):
     n = len(c.hexes)
     if n == 0:
         return GrowOrderResult(False, None, None, 0, "empty complex")
-    if not check_conformity(c).ok:
+    report = check_conformity(c)
+    if not report.ok:
         return GrowOrderResult(False, None, None, 0, "input complex not conforming")
+    allowed = set(options.allowed_configs)
+    # each of the n - 1 glues covers its config's size of interior
+    # faces, and every interior face is glued exactly once
+    sizes = [cfg.size for cfg in glue_configs() if cfg.id in allowed]
+    interior = report.face_incidence.get(2, 0)
+    if n > 1 and not (
+        sizes and min(sizes) * (n - 1) <= interior <= max(sizes) * (n - 1)
+    ):
+        return GrowOrderResult(False, None, None, 0, _NO_ORDER)
 
     hex_keys = [
         tuple(face_key(c.hex_face(hi, f)) for f in range(6)) for hi in range(n)
     ]
-    allowed = set(options.allowed_configs)
     failed = set()
     nodes = 0
     state = None  # (complex, boundary pattern) of the prefix being extended
@@ -474,11 +488,10 @@ def find_grow_order(c, options=None):
                 continue
             # each component's seed rotation: where the first corner of
             # its first face sits in the quad that face covers
-            rots = [
+            rotation = encode_rotation([
                 pattern.quads[targets[f0]].index(corners[HEX_FACES[f0][0]])
                 for f0, *_ in config_components(cfg)
-            ]
-            rotation = rots[0] if len(rots) == 1 else rots[0] + 4 * rots[1]
+            ])
             placed.append(corners)
             witness.append(
                 Placement(cfg.id, tuple(targets[f] for f in cfg.faces), rotation)
@@ -503,9 +516,7 @@ def find_grow_order(c, options=None):
         if order is not None:
             break
     if order is None:
-        return GrowOrderResult(
-            False, None, None, nodes, "no grow order under the move rules"
-        )
+        return GrowOrderResult(False, None, None, nodes, _NO_ORDER)
     witness = tuple(witness)
     try:
         rebuilt = _replay(witness)[0].hexes

@@ -17,13 +17,7 @@ import struct
 from collections import deque
 from functools import cached_property
 
-from .errors import (
-    Disconnected,
-    InconsistentOrientation,
-    NonManifoldEdge,
-    PinchedVertex,
-    ValidationError,
-)
+from .errors import Disconnected, raise_violations
 from .hexmodel import boundary_violations, face_key, oriented_key
 
 
@@ -105,14 +99,7 @@ def build_pattern(quads):
         raise Disconnected("empty pattern")
     violations = boundary_violations(quads)
     if violations:
-        first = violations[0]
-        err = {
-            "NonManifoldEdge": NonManifoldEdge,
-            "InconsistentOrientation": InconsistentOrientation,
-            "Disconnected": Disconnected,
-            "PinchedVertex": PinchedVertex,
-        }.get(first.kind, ValidationError)
-        raise err(str(first), violations)
+        raise_violations(violations)
     return SurfacePattern(quads)
 
 

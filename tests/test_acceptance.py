@@ -134,9 +134,7 @@ def test_criterion_4_oracle_equivalence(capsys):
             naive.setdefault(hexes, set()).add(canonical_code(pattern))
             if hexes == depth:
                 return
-            for m in enumerate_moves(
-                packing, pattern, dedup_by_successor=False, with_codes=False
-            ):
+            for m in enumerate_moves(packing, pattern, dedup_by_successor=False):
                 walk(m.complex, m.pattern, hexes + 1)
 
         start = initial_packing()

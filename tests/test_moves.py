@@ -25,7 +25,6 @@ from hexpack.moves import (
     config_components,
     config_for_subset,
     enumerate_moves,
-    enumerate_placements,
     glue_configs,
     initial_packing,
 )
@@ -85,28 +84,36 @@ def test_every_proper_subset_classifies():
 
 def test_first_layer_moves_from_single_hex():
     start = initial_packing()
-    raw = enumerate_placements(start, dedup_by_successor=False)
+    raw = [m.placement for m in enumerate_moves(start, dedup_by_successor=False)]
     assert len(raw) == 24  # 6 quads x 4 rotations, all equivalent
     assert {pl.config_id for pl in raw} == {1}
-    dedup = enumerate_placements(start)
+    dedup = [m.placement for m in enumerate_moves(start)]
     assert len(dedup) == 1
 
 
-def test_enumerate_without_codes_matches_coded_run():
+def test_dedup_keeps_the_first_placement_per_successor_code():
     start = initial_packing()
-    coded = enumerate_moves(start, dedup_by_successor=False)
-    bare = enumerate_moves(start, dedup_by_successor=False, with_codes=False)
-    assert {m.placement.token() for m in bare} == {
-        m.placement.token() for m in coded
-    }
-    assert all(m.code == b"" for m in bare)
-    with pytest.raises(ValueError):
-        enumerate_moves(start, with_codes=False)
+    second, _ = apply_move(start, enumerate_moves(start)[0].placement)
+    bare = {}
+    raw = enumerate_moves(second, dedup_by_successor=False, counters=bare)
+    # without dedup no code is computed and the order is by placement
+    assert "codes" not in bare
+    assert all(m.code == b"" for m in raw)
+    keys = [m.placement.sort_key() for m in raw]
+    assert keys == sorted(keys)
+    coded = {}
+    dedup = enumerate_moves(second, counters=coded)
+    assert coded["tried"] == bare["tried"]
+    assert coded["codes"] == len(raw)
+    firsts = {}
+    for m in raw:
+        firsts.setdefault(canonical_code(m.pattern), m.placement)
+    assert [(m.code, m.placement) for m in dedup] == sorted(firsts.items())
 
 
 def test_layer_three_pattern_census():
     start = initial_packing()
-    second, _ = apply_move(start, enumerate_placements(start)[0])
+    second, _ = apply_move(start, enumerate_moves(start)[0].placement)
     moves = enumerate_moves(second)
     quads = sorted(len(m.pattern.quads) for m in moves)
     assert quads == [12, 14, 14]
@@ -162,7 +169,7 @@ def test_pocket_fill_uses_only_the_maximal_config():
         i for i, p in enumerate(coords) if all(1 <= c <= 2 for c in p)
     }
     assert len(cavity) == 8
-    moves = enumerate_moves(pocket, dedup_by_successor=False, with_codes=False)
+    moves = enumerate_moves(pocket, dedup_by_successor=False)
     fills = [m for m in moves if set(m.complex.hexes[-1]) == cavity]
     assert len(fills) == 4  # one five-face glue, seen in 4 orientations
     assert {config_by_id(m.placement.config_id).size for m in fills} == {5}
@@ -171,7 +178,7 @@ def test_pocket_fill_uses_only_the_maximal_config():
     # and the partial three-row and four-ring glues never do: each is the
     # five-face fill in disguise
     free = enumerate_moves(
-        pocket, sphere_mode=False, dedup_by_successor=False, with_codes=False
+        pocket, sphere_mode=False, dedup_by_successor=False
     )
     sizes = {}
     for m in free:
@@ -185,18 +192,18 @@ def test_pocket_fill_uses_only_the_maximal_config():
 def test_parity_alternates_along_any_witness():
     packing = initial_packing()
     assert hex_parity(packing) == "odd"
-    pl = enumerate_placements(packing)[0]
+    pl = enumerate_moves(packing)[0].placement
     packing, _ = apply_move(packing, pl)
     assert hex_parity(packing) == "even"
 
 
 def test_sphere_mode_excludes_the_disconnected_config():
     start = initial_packing()
-    col, _ = apply_move(start, enumerate_placements(start)[0])
-    sphere = enumerate_placements(col, dedup_by_successor=False)
-    assert all(pl.config_id != 2 for pl in sphere)
-    free = enumerate_placements(col, sphere_mode=False, dedup_by_successor=False)
-    ring = [pl for pl in free if pl.config_id == 2]
+    col, _ = apply_move(start, enumerate_moves(start)[0].placement)
+    sphere = enumerate_moves(col, dedup_by_successor=False)
+    assert all(m.placement.config_id != 2 for m in sphere)
+    free = enumerate_moves(col, sphere_mode=False, dedup_by_successor=False)
+    ring = [m.placement for m in free if m.placement.config_id == 2]
     assert ring
     # closing both ends of a bent column produces a solid torus
     for pl in ring[:4]:
@@ -206,11 +213,11 @@ def test_sphere_mode_excludes_the_disconnected_config():
 
 def test_torus_states_stay_legal_without_sphere_mode():
     start = initial_packing()
-    col, _ = apply_move(start, enumerate_placements(start)[0])
+    col, _ = apply_move(start, enumerate_moves(start)[0].placement)
     pl = next(
-        p
-        for p in enumerate_placements(col, sphere_mode=False, dedup_by_successor=False)
-        if p.config_id == 2
+        m.placement
+        for m in enumerate_moves(col, sphere_mode=False, dedup_by_successor=False)
+        if m.placement.config_id == 2
     )
     torus, pattern = apply_move(col, pl)
     assert check_conformity(torus).ok
@@ -329,8 +336,7 @@ def assert_local_rule_matches_whole_complex_rule(packing, sphere_mode):
             continue  # enumerate_moves never tries these in sphere mode
         for seeds, rot in _seed_choices(cfg, len(pattern.quads)):
             got = _realize(
-                packing, pattern, cfg, seeds, rot, sphere_mode=sphere_mode,
-                reflection_invariant=True, with_code=False,
+                packing, pattern, cfg, seeds, rot, sphere_mode=sphere_mode
             )
             want = whole_complex_rule(packing, pattern, cfg, seeds, sphere_mode)
             assert (got is None) == (want is None), (cfg.name, seeds, sphere_mode)

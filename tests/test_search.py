@@ -9,7 +9,7 @@ from hexpack.moves import (
     REJECT_REASONS,
     Placement,
     apply_move,
-    enumerate_placements,
+    enumerate_moves,
     initial_packing,
 )
 from hexpack.search import (
@@ -83,7 +83,7 @@ def test_search_finds_start_state_immediately():
 
 def test_search_finds_two_hex_pattern():
     start = initial_packing()
-    packing, _ = apply_move(start, enumerate_placements(start)[0])
+    packing, _ = apply_move(start, enumerate_moves(start)[0].placement)
     target = canonical_code(extract_boundary(packing))
     res = search_min_packing(target, 5)
     assert res.found and res.count == 2
@@ -352,10 +352,20 @@ def test_grow_order_respects_sphere_mode():
     )
 
 
-def test_grow_order_respects_config_restrictions(odd17):
-    # single-face gluing alone cannot rebuild a mesh that needs wrapping
-    res = find_grow_order(odd17, SearchOptions(allowed_configs=(1,)))
-    assert not res.found
+def test_grow_order_respects_config_restrictions(odd17, pyramid):
+    # single-face gluing alone cannot rebuild a mesh that needs wrapping.
+    # Every interior face is glued once, by one of n - 1 glues, so too
+    # many interior faces (34 against 16 or 32; 100 against 35), or no
+    # allowed config at all, refuse before any backtracking.
+    for c, configs in (
+        (odd17, (1,)),
+        (odd17, (1, 2)),
+        (pyramid[0], (1,)),
+        (odd17, ()),
+    ):
+        res = find_grow_order(c, SearchOptions(allowed_configs=configs))
+        assert not res.found
+        assert res.nodes == 0, configs
 
 
 def test_verify_template_on_bundled_pair(odd17, even18):
