@@ -14,29 +14,23 @@ import sys
 import time
 from collections import Counter
 
-from hexpack.search import SearchOptions, build_ledger
+from hexpack.cli import _add_search_flags, _options_from_args
+from hexpack.search import build_ledger
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-hexes", type=int, default=6)
-    ap.add_argument("--checkpoint", metavar="DIR", default=None)
-    ap.add_argument("--no-reflection", action="store_true")
-    ap.add_argument("--no-sphere-mode", action="store_true")
+    _add_search_flags(ap)
     args = ap.parse_args(argv)
 
-    options = SearchOptions(
-        sphere_mode=not args.no_sphere_mode,
-        reflection_invariant=not args.no_reflection,
-        checkpoint_dir=args.checkpoint,
-    )
+    options = _options_from_args(args)
     t0 = time.perf_counter()
     ledger = build_ledger(args.max_hexes, options)
 
     first_seen = {}
-    for code, rec in ledger.records.items():
-        layers = [rec.slot(p) for p in ("odd", "even") if rec.slot(p)]
-        first_seen.setdefault(min(layers), []).append(rec)
+    for rec in ledger.records.values():
+        first_seen.setdefault(rec.best()[0], []).append(rec)
 
     print("layer  new patterns  quad counts")
     for layer in sorted(first_seen):

@@ -54,16 +54,12 @@ def main(argv=None):
         args.max_hexes, options, target=target, progress=report
     )
     rec = ledger.records.get(target)
-    slots = []
-    if rec is not None:
-        for parity in ("odd", "even"):
-            if rec.slot(parity) is not None:
-                slots.append((rec.slot(parity), rec.witness(parity)))
-    if not slots:
+    best = rec.best() if rec is not None else None
+    if best is None:
         print(f"exhausted: no packing within {args.max_hexes} hexes")
         return 3
 
-    count, witness = min(slots)
+    count, witness = best
     print(f"found: {count} hexes")
     with open(args.out, "w") as fh:
         fh.write(write_witness(witness))

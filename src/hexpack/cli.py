@@ -343,9 +343,6 @@ def main(argv=None):
             DegenerateEdge) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

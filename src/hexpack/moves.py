@@ -26,20 +26,12 @@ from .hexmodel import (
     extract_boundary,
     face_key,
     hex_face_cycle,
-    oriented_key,
 )
 from .surface import SurfacePattern, canonical_code, euler_characteristic
 
 # Why _realize turned a candidate down, in the order it checks; each is
 # a key of the counters dict that enumerate_moves fills.
-REJECT_REASONS = (
-    "propagate",
-    "identification",
-    "double_glue",
-    "maximality",
-    "euler",
-    "conformity",
-)
+REJECT_REASONS = ("propagate", "identification", "euler", "conformity")
 
 
 def _isometries():
@@ -299,6 +291,8 @@ def _propagate(pattern, faces, seeds):
     """Extend seed correspondences across shared cube edges.
 
     Returns (corner map, face -> quad index) or None on any mismatch.
+    Every face of a config's face component is reached from the
+    component's seed face, so each face gets a quad.
     """
     m = {}
     targets = {}
@@ -341,8 +335,6 @@ def _propagate(pattern, faces, seeds):
                         return None
                 targets[g] = qi
                 stack.append(g)
-    if len(targets) != len(faces):
-        return None
     return m, targets
 
 
@@ -356,17 +348,22 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     """Glue new_hex onto the packing: (complex, boundary pattern) or None.
 
     This is the one definition of a legal move.  targets maps each glued
-    face of new_hex to the index of the pattern quad it covers; the
-    quads are distinct and each face's cycle is a rotation of its quad.
-    The packing must be conforming and pattern must be its boundary.
-    Corners off the glued faces get new ids in a move; in a grow order
-    they keep the ids of the complex being certified.
+    face of new_hex to the index of the pattern quad it covers, and each
+    face's cycle is a rotation of its quad.  The quads are distinct
+    because new_hex has 8 distinct corners, as _realize's identification
+    check makes sure: two cube faces share at most two corners, so two
+    faces on one quad would put two corners on one vertex.  The packing
+    must be conforming and pattern must be its boundary.  Corners off
+    the glued faces get new ids in a move; in a grow order they keep the
+    ids of the complex being certified.
 
     Only what the new hex changes is looked at: its faces against the
     packing's face index, and its 12 edges and 8 corners against the
     pattern.  The verdict is the one check_conformity on the grown
     complex and build_pattern on its boundary give (and, in sphere
     mode, Euler characteristic 2); the tests hold the two to each other.
+    So an unglued face that lands on a surface quad is rejected here,
+    in either orientation: that attachment belongs to a larger config.
     The returned pattern lists the unglued old quads, then the new ones.
     A rejection is counted in counters under "euler" or "conformity".
     """
@@ -377,9 +374,12 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     degree = pattern.degree
     directed = pattern.directed_edges
     if sphere_mode:
-        # V - E + F of the new surface from the old one: only the new
-        # hex's corners and edges can appear or vanish.  An edge lies in
-        # two quads or none; it vanishes when both its faces are glued.
+        # V - E + F of the new surface from the old one.  A closed quad
+        # surface has E = 2F, so V - E + F = V - F: count the corners the
+        # new hex adds or removes, and the 6 - 2k faces it adds net.  The
+        # new surface breaks E = 2F only where an edge of two unglued
+        # faces already lies on the surface, and the "edge in four
+        # boundary quads" check below rejects that move anyway.
         dv = 0
         for c in range(8):
             # a corner leaves the surface only when its 3 faces are glued
@@ -387,10 +387,7 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
             d = degree.get(new_hex[c], 0)
             j = at_corner[c]
             dv += (j < 3 or d > j) - (d > 0)
-        de = 0
-        for a, b, n in edges:
-            de += (n < 2) - ((new_hex[a], new_hex[b]) in directed)
-        if euler_characteristic(pattern) + dv - de + 6 - 2 * len(targets) != 2:
+        if euler_characteristic(pattern) + dv - (6 - 2 * len(targets)) != 2:
             return _reject(counters, "euler")
 
     quads = pattern.quads
@@ -432,8 +429,10 @@ def _realize(packing, pattern, cfg, seeds, rotation, *, sphere_mode,
     """Validate one candidate attachment and build it: a MoveResult
     without a code, or None when it is not a legal move.
 
-    counters, when given, counts the rejection under its reason (one of
-    REJECT_REASONS).
+    The seeds fix the new hex's corners on the surface (propagate) and
+    must put them on distinct vertices (identification); every other
+    rule is glue_hex's.  counters, when given, counts the rejection
+    under its reason (one of REJECT_REASONS).
     """
     res = _propagate(pattern, cfg.faces, seeds)
     if res is None:
@@ -442,23 +441,6 @@ def _realize(packing, pattern, cfg, seeds, rotation, *, sphere_mode,
     if len(set(m.values())) != len(m):
         # two cube corners forced onto one surface vertex
         return _reject(counters, "identification")
-    tvals = set(targets.values())
-    if len(tvals) != len(targets):
-        return _reject(counters, "double_glue")  # two faces on one quad
-    # Maximality: an unglued face whose corners are all identified must
-    # not coincide orientation-compatibly with a remaining surface quad;
-    # that attachment belongs to the larger config.
-    for g in range(6):
-        if g in targets:
-            continue
-        gc = HEX_FACES[g]
-        if all(c in m for c in gc):
-            img = (m[gc[0]], m[gc[1]], m[gc[2]], m[gc[3]])
-            for qi in pattern.quads_with_key(face_key(img)):
-                if qi not in tvals and oriented_key(
-                    pattern.quads[qi]
-                ) == oriented_key(img):
-                    return _reject(counters, "maximality")
 
     new_hex = []
     nxt = packing.vertex_count

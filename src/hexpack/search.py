@@ -65,8 +65,9 @@ class SearchOptions:
 class SearchStats:
     """Search totals.  Every candidate tried either is rejected, counted
     under its reason (rejected_<reason>, see moves.REJECT_REASONS), or
-    gets its successor code computed; moves_valid counts the distinct
-    successors each expansion proposed."""
+    gets its successor code computed, so moves_tried equals
+    codes_computed plus every rejected_* count; moves_valid counts the
+    distinct successors each expansion proposed."""
 
     states_expanded: int = 0
     moves_tried: int = 0
@@ -75,8 +76,6 @@ class SearchStats:
     codes_computed: int = 0
     rejected_propagate: int = 0
     rejected_identification: int = 0
-    rejected_double_glue: int = 0
-    rejected_maximality: int = 0
     rejected_euler: int = 0
     rejected_conformity: int = 0
 
@@ -107,6 +106,15 @@ class PatternRecord:
 
     def witness(self, parity):
         return self.witness_odd if parity == "odd" else self.witness_even
+
+    def best(self):
+        """(count, witness) of the fewest-hex slot, or None if both are empty."""
+        slots = [
+            (self.slot(p), self.witness(p))
+            for p in ("odd", "even")
+            if self.slot(p) is not None
+        ]
+        return min(slots) if slots else None
 
     def set_slot(self, parity, count, witness):
         if parity == "odd":
@@ -345,15 +353,10 @@ def search_min_packing(target, max_hexes, options=None):
     target = bytes(target)
     ledger = build_ledger(max_hexes, options, target=target)
     rec = ledger.records.get(target)
-    counts = []
-    if rec is not None:
-        for p in ("odd", "even"):
-            if rec.slot(p) is not None:
-                counts.append((rec.slot(p), rec.witness(p)))
-    if counts:
-        count, witness = min(counts)
-        return SearchResult(True, count, witness, False, ledger)
-    return SearchResult(False, None, None, True, ledger)
+    best = rec.best() if rec is not None else None
+    if best is None:
+        return SearchResult(False, None, None, True, ledger)
+    return SearchResult(True, *best, False, ledger)
 
 
 def find_templates(max_hexes, options=None):
@@ -635,7 +638,17 @@ def load_checkpoint(directory):
         max_hexes = None if max_hexes is None else int(max_hexes)
         target = manifest["target"]
         target = None if target is None else bytes.fromhex(target)
-        stats_d = manifest.get("stats", {})
+        stats_d = dict(manifest.get("stats", {}))
+        # older manifests count double-glue and maximality rejections
+        # apart; glue_hex now rejects those candidates for conformity
+        stats_d["rejected_conformity"] = sum(
+            int(stats_d.get(k, 0))
+            for k in (
+                "rejected_conformity",
+                "rejected_double_glue",
+                "rejected_maximality",
+            )
+        )
         stats = SearchStats(
             **{
                 f.name: int(stats_d.get(f.name, 0))

@@ -25,7 +25,6 @@ from hexpack.hexmodel import (
 )
 from hexpack.moves import enumerate_moves, initial_packing
 from hexpack.search import (
-    SearchOptions,
     build_ledger,
     find_grow_order,
     replay_witness,

@@ -1,6 +1,5 @@
 """End-to-end command tests driving main() in process."""
 
-import pytest
 from conftest import grid_complex
 
 from hexpack.cli import main

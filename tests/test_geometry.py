@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import UNIT_CUBE_COORDS, grid_complex
+from conftest import grid_complex
 
 from hexpack.errors import DegenerateEdge, MissingCoordinates
 from hexpack.geometry import (

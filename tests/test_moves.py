@@ -237,6 +237,8 @@ def test_apply_move_validates_placements():
         apply_move(start, Placement(3, (0,), 0))  # wrong quad tuple arity
     with pytest.raises(InvalidPlacement):
         apply_move(start, Placement(3, (0, 1), 0))  # not an adjacent pair here
+    with pytest.raises(InvalidPlacement):
+        apply_move(start, Placement(2, (0, 0), 0))  # two faces on one quad
 
 
 def test_placement_token_round_trip():

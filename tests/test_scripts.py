@@ -40,9 +40,10 @@ def test_run_pyramid_search_exhausts_a_small_budget(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("configs", ["9", "x"])
-def test_run_pyramid_search_rejects_bad_configs(tmp_path, configs):
+@pytest.mark.parametrize("script", ["run_pyramid_search", "pattern_census"])
+def test_run_pyramid_search_rejects_bad_configs(tmp_path, script, configs):
     with pytest.raises(SystemExit) as err:
-        load_script("run_pyramid_search").main([
+        load_script(script).main([
             "--max-hexes", "3",
             "--configs", configs,
             "--checkpoint", str(tmp_path / "ck"),

@@ -7,7 +7,6 @@ from hexpack.errors import CheckpointCorrupt, VersionMismatch
 from hexpack.hexmodel import build_complex, extract_boundary, hex_parity
 from hexpack.moves import (
     REJECT_REASONS,
-    Placement,
     apply_move,
     enumerate_moves,
     initial_packing,
@@ -20,7 +19,6 @@ from hexpack.search import (
     find_templates,
     load_checkpoint,
     replay_witness,
-    save_checkpoint,
     search_min_packing,
     verify_template,
 )
@@ -142,7 +140,8 @@ def test_checkpoint_resume_is_deterministic(tmp_path):
 
 
 def test_checkpoint_with_an_old_thread_count_resumes(tmp_path):
-    # manifests written before the search went serial carry thread_count
+    # manifests written before the search went serial carry thread_count,
+    # and older ones count double-glue and maximality rejections apart
     import json
 
     d = str(tmp_path / "ck")
@@ -151,6 +150,11 @@ def test_checkpoint_with_an_old_thread_count_resumes(tmp_path):
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     manifest["options"]["thread_count"] = 2
+    stats = manifest["stats"]
+    stats["rejected_maximality"] = stats["rejected_conformity"] // 2
+    stats["rejected_double_glue"] = 0
+    stats["rejected_conformity"] -= stats["rejected_maximality"]
+    assert stats["rejected_maximality"] > 0
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
     resumed = build_ledger(4, SearchOptions(checkpoint_dir=d))
@@ -160,6 +164,10 @@ def test_checkpoint_with_an_old_thread_count_resumes(tmp_path):
         ra, rb = resumed.records[code], fresh.records[code]
         assert (ra.min_odd, ra.min_even) == (rb.min_odd, rb.min_even)
         assert (ra.witness_odd, ra.witness_even) == (rb.witness_odd, rb.witness_even)
+    rs = resumed.stats
+    rejected = [getattr(rs, "rejected_" + r) for r in REJECT_REASONS]
+    assert rs.moves_tried == rs.codes_computed + sum(rejected)
+    assert rs == fresh.stats
 
 
 def test_checkpoint_rejects_other_options(tmp_path):
