@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Time canonical codes in one checkout of hexpack; print one JSON object.
+
+    python3 scripts/bench_canonical_code.py [CHECKOUT]
+
+CHECKOUT (default: the one holding this script) is the root of a hexpack
+checkout; its ``src/`` is imported, never an installed copy, so the same
+script measures any two commits.  The process pins itself, and the test
+suite it starts, to one CPU.  It reports:
+
+- ``build_ledger_6_s``: ``build_ledger(6)`` in process, with its ledger
+  held to the digest pinned in ``perfbench/workloads.py``;
+- ``codes``: every pattern ``build_ledger(6)`` codes, coded again with
+  and without reflection (fresh ``SurfacePattern`` objects each pass,
+  best of three passes), with the per-call time and a digest of the codes;
+- ``criterion_4_s`` and ``suite_s``: acceptance criterion 4 and the whole
+  tier-1 suite, from one ``pytest`` run in the checkout.
+"""
+
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+PASSES = 3
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    sys.path[:0] = [str(root / "src"), str(root)]
+    import hexpack.moves as moves
+    from hexpack.search import build_ledger
+    from hexpack.surface import SurfacePattern, canonical_code
+    from perfbench.workloads import CENSUS_SHA256, ledger_sha256
+
+    t = perf_counter()
+    ledger = build_ledger(6)
+    ledger_s = perf_counter() - t
+    if ledger_sha256(ledger) != CENSUS_SHA256:
+        raise SystemExit("build_ledger(6) differs from the pinned census")
+
+    coded = []
+    plain_code = moves.canonical_code
+
+    def recording_code(pattern, reflection_invariant=True):
+        coded.append(pattern.quads)
+        return plain_code(pattern, reflection_invariant)
+
+    moves.canonical_code = recording_code
+    try:
+        build_ledger(6)
+    finally:
+        moves.canonical_code = plain_code
+
+    codes = {"patterns": len(coded)}
+    for reflection in (True, False):
+        times = []
+        for _ in range(PASSES):
+            patterns = [SurfacePattern(q) for q in coded]
+            t = perf_counter()
+            got = [canonical_code(p, reflection) for p in patterns]
+            times.append(perf_counter() - t)
+        codes["reflection" if reflection else "plain"] = {
+            "total_s": round(min(times), 3),
+            "per_call_us": round(min(times) / len(coded) * 1e6, 1),
+            "sha256": hashlib.sha256(b"|".join(got)).hexdigest(),
+        }
+
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    out = run.stdout
+    crit = re.search(r"ACCEPTANCE 4 [^\n]*: PASS \(([\d.]+)s\)", out)
+    summary = re.search(r"(\d+) passed[^\n]* in ([\d.]+)s", out)
+    print(json.dumps({
+        "checkout": str(root),
+        "python": sys.version.split()[0],
+        "build_ledger_6_s": round(ledger_s, 2),
+        "codes": codes,
+        "criterion_4_s": float(crit.group(1)) if crit else None,
+        "suite_s": float(summary.group(2)) if summary else None,
+        "suite_passed": int(summary.group(1)) if summary else None,
+        "suite_exit": run.returncode,
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,13 +8,16 @@ store their quads counterclockwise as seen from outside.
 
 The canonical code is the dedup key of the search: a byte string equal
 for two patterns exactly when they are isomorphic as combinatorial maps
-(by default also identifying mirror images).
+(by default also identifying mirror images).  Each code is computed on a
+flat half-edge table built for that call (see _half_edge_table): quad i
+holds half-edges 4*i .. 4*i + 3, so the traversal runs on list indexing
+alone.  The table is not kept on the pattern, because no pattern is
+coded twice and the search holds many patterns at once.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import deque
 from functools import cached_property
 
 from .errors import Disconnected, raise_violations
@@ -108,73 +111,118 @@ def euler_characteristic(p):
     return len(p.vertices) - p.edge_count + len(p.quads)
 
 
-def _best_emission(quads, directed, degree):
-    """Lexicographically smallest BFS emission over all root half-edges.
+def _half_edge_table(quads):
+    """(Q, opp, deg, ids): the flat half-edge table of a quad surface.
 
-    Roots are restricted to half-edges whose (deg(u), deg(v)) pair is
-    minimal; the minimum is isomorphism-invariant, so the restriction
-    never changes the resulting code.  Returns (emission, labels).
+    Vertices get dense ids 0, 1, ... in first-seen order, and ids[d] is
+    the original id of dense vertex d.  Q lists the quads' dense corners
+    back to back, so half-edge h = 4*qi + i runs from Q[h] to
+    Q[(h & ~3) | ((h + 1) & 3)].  opp[h] is the half-edge running the
+    other way along the same edge, and deg[d] the number of quads at d.
     """
-    best_pair = min((degree[u], degree[v]) for (u, v) in directed)
-    roots = [e for e in directed if (degree[e[0]], degree[e[1]]) == best_pair]
-    nq = len(quads)
-    best = None
-    best_labels = None
-    for root in roots:
-        labels = {}
-        emission = []
-        seen = [False] * nq
-        qi, i = directed[root]
-        seen[qi] = True
-        queue = deque(((qi, i),))
-        nxt = 0
-        undecided = best is None  # still tied with best on the shared prefix
-        alive = True
-        pos = 0
-        while queue:
-            qi, i = queue.popleft()
-            q = quads[qi]
-            cyc = (q[i], q[(i + 1) % 4], q[(i + 2) % 4], q[(i + 3) % 4])
-            for v in cyc:
-                if v not in labels:
-                    labels[v] = nxt
-                    nxt += 1
-            emission.extend(labels[v] for v in cyc)
-            if not undecided:
-                chunk = emission[pos : pos + 4]
-                ref = best[pos : pos + 4]
-                if chunk > ref:
-                    alive = False
-                    break
-                if chunk < ref:
-                    undecided = True  # strictly better, stop comparing
-            pos += 4
-            for k in range(4):
-                nqi, _ = directed[(cyc[(k + 1) % 4], cyc[k])]
-                if not seen[nqi]:
-                    seen[nqi] = True
-                    queue.append(directed[(cyc[(k + 1) % 4], cyc[k])])
-        if alive and (best is None or emission < best):
-            best = emission
-            best_labels = labels
+    dense = {}
+    Q = [dense.setdefault(v, len(dense)) for q in quads for v in q]
+    head = Q[1:] + Q[:1]  # head[h] = Q[h + 1], except at each quad's end
+    head[3::4] = Q[::4]
+    at = dict(zip(zip(Q, head), range(len(Q))))
+    opp = list(map(at.__getitem__, zip(head, Q)))
+    deg = [0] * len(dense)
+    for d in Q:
+        deg[d] += 1
+    return Q, opp, deg, list(dense)
+
+
+def _rings(n):
+    """ring[h] for tables of n half-edges: h's quad in cyclic order from h.
+
+    It depends on n alone, so a pattern and its mirror share one.
+    """
+    return [
+        r
+        for b in range(0, n, 4)
+        for r in (
+            (b, b + 1, b + 2, b + 3),
+            (b + 1, b + 2, b + 3, b),
+            (b + 2, b + 3, b, b + 1),
+            (b + 3, b, b + 1, b + 2),
+        )
+    ]
+
+
+def _walk(root, Q, opp, ring, nv, best):
+    """(emission, labels) of the BFS from root, or (None, None).
+
+    Quads are visited breadth first across edges, each read starting at
+    the half-edge it was entered by; a vertex gets the next label when
+    first met, and labels[d] is the label of dense vertex d.  Each label
+    is compared with best as it is emitted: the walk gives up as soon as
+    its emission is larger, and returns (None, None) too when it ends
+    equal to best.
+    """
+    labels = [-1] * nv
+    seen = [False] * (len(Q) >> 2)
+    seen[root >> 2] = True
+    queue = [root]
+    emission = []
+    nxt = 0
+    tied = best is not None
+    for h in queue:  # the loop also reads the half-edges appended below
+        for e in ring[h]:
+            v = Q[e]
+            lab = labels[v]
+            if lab < 0:
+                labels[v] = lab = nxt
+                nxt += 1
+            if tied:
+                ref = best[len(emission)]
+                if lab != ref:
+                    if lab > ref:
+                        return None, None
+                    tied = False
+            emission.append(lab)
+            o = opp[e]
+            if not seen[o >> 2]:
+                seen[o >> 2] = True
+                queue.append(o)
+    if tied:
+        return None, None
+    return emission, labels
+
+
+def _best_emission(Q, opp, deg, ring):
+    """(emission, labels) of the lexicographically smallest BFS emission.
+
+    The roots are the half-edges whose (deg tail, deg head) pair is
+    minimal, tried in half-edge order; the first smallest emission wins.
+    The minimal pair is isomorphism-invariant, so the code is canonical,
+    but it is not the minimum over all half-edges.
+    """
+    pairs = [(deg[Q[h]], deg[Q[o]]) for h, o in enumerate(opp)]
+    least = min(pairs)
+    best = best_labels = None
+    for root, pair in enumerate(pairs):
+        if pair == least:
+            emission, labels = _walk(root, Q, opp, ring, len(deg), best)
+            if emission is not None:
+                best, best_labels = emission, labels
     return best, best_labels
 
 
 def _canonical(p, reflection_invariant):
-    """(emission, labels, mirrored) of the winning traversal."""
-    quads = p.quads
-    em, labels = _best_emission(quads, p.directed_edges, p.degree)
-    mirrored = False
+    """(emission, labels, ids) of the winning traversal.
+
+    labels[d] is the discovery label of dense vertex d and ids[d] its id
+    in p.  The mirror pass runs on the table of the reversed quads.
+    """
+    ring = _rings(4 * len(p.quads))
+    Q, opp, deg, ids = _half_edge_table(p.quads)
+    em, labels = _best_emission(Q, opp, deg, ring)
     if reflection_invariant:
-        rquads = tuple(q[::-1] for q in quads)
-        rdirected = {}
-        for qi, q in enumerate(rquads):
-            for i in range(4):
-                rdirected[(q[i], q[(i + 1) % 4])] = (qi, i)
-        rem, rlabels = _best_emission(rquads, rdirected, p.degree)
+        rQ, ropp, rdeg, rids = _half_edge_table([q[::-1] for q in p.quads])
+        rem, rlabels = _best_emission(rQ, ropp, rdeg, ring)
         if rem < em:
-            em, labels, mirrored = rem, rlabels, True
-    return em, labels, mirrored
+            return rem, rlabels, rids
+    return em, labels, ids
 
 
 def canonical_code(p, reflection_invariant=True):
@@ -183,10 +231,11 @@ def canonical_code(p, reflection_invariant=True):
     With reflection_invariant (the default) mirror-image patterns get the
     same code.  Layout: the winning BFS emission, one 16-bit big-endian
     word per discovery label, four words per quad in discovery order.
+    A pattern with more than 65535 vertices raises ValueError.
     """
-    em, _, _ = _canonical(p, reflection_invariant)
     if len(p.vertices) > 0xFFFF:
         raise ValueError("pattern too large for 16-bit label encoding")
+    em, _, _ = _canonical(p, reflection_invariant)
     return struct.pack(f">{len(em)}H", *em)
 
 
@@ -201,12 +250,14 @@ def isomorphic(p1, p2, reflection_invariant=True):
     The bijection maps quads of p1 onto quads of p2 (up to reversal when
     the match is through a mirror image and reflection is allowed).
     """
-    em1, labels1, _ = _canonical(p1, reflection_invariant)
-    em2, labels2, _ = _canonical(p2, reflection_invariant)
+    em1, labels1, ids1 = _canonical(p1, reflection_invariant)
+    em2, labels2, ids2 = _canonical(p2, reflection_invariant)
     if em1 != em2:
         return False, None
-    inv2 = {lab: v for v, lab in labels2.items()}
-    mapping = {v: inv2[lab] for v, lab in labels1.items()}
+    by_label = [None] * len(labels2)
+    for v, lab in zip(ids2, labels2):
+        by_label[lab] = v
+    mapping = {v: by_label[lab] for v, lab in zip(ids1, labels1)}
     remapped = sorted(face_key(tuple(mapping[v] for v in q)) for q in p1.quads)
     if remapped != sorted(face_key(q) for q in p2.quads):
         raise AssertionError("canonical traversal produced an invalid bijection")

@@ -1,4 +1,7 @@
 import random
+import struct
+import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,8 @@ from hexpack.errors import (
     PinchedVertex,
 )
 from hexpack.hexmodel import build_complex, extract_boundary
-from hexpack.moves import Placement
-from hexpack.search import replay_witness
+from hexpack.moves import Placement, enumerate_moves
+from hexpack.search import build_ledger, replay_witness
 from hexpack.surface import (
     SurfacePattern,
     build_pattern,
@@ -24,6 +27,85 @@ from hexpack.surface import (
     pyramid16_pattern,
     relabel,
 )
+
+
+def reference_best_emission(quads, directed, degree):
+    """The dict-and-deque traversal canonical codes were first defined by."""
+    best_pair = min((degree[u], degree[v]) for (u, v) in directed)
+    roots = [e for e in directed if (degree[e[0]], degree[e[1]]) == best_pair]
+    nq = len(quads)
+    best = None
+    for root in roots:
+        labels = {}
+        emission = []
+        seen = [False] * nq
+        qi, i = directed[root]
+        seen[qi] = True
+        queue = deque(((qi, i),))
+        nxt = 0
+        undecided = best is None  # still tied with best on the shared prefix
+        alive = True
+        pos = 0
+        while queue:
+            qi, i = queue.popleft()
+            q = quads[qi]
+            cyc = (q[i], q[(i + 1) % 4], q[(i + 2) % 4], q[(i + 3) % 4])
+            for v in cyc:
+                if v not in labels:
+                    labels[v] = nxt
+                    nxt += 1
+            emission.extend(labels[v] for v in cyc)
+            if not undecided:
+                chunk = emission[pos : pos + 4]
+                ref = best[pos : pos + 4]
+                if chunk > ref:
+                    alive = False
+                    break
+                if chunk < ref:
+                    undecided = True  # strictly better, stop comparing
+            pos += 4
+            for k in range(4):
+                nqi, _ = directed[(cyc[(k + 1) % 4], cyc[k])]
+                if not seen[nqi]:
+                    seen[nqi] = True
+                    queue.append(directed[(cyc[(k + 1) % 4], cyc[k])])
+        if alive and (best is None or emission < best):
+            best = emission
+    return best
+
+
+def reference_code(p, reflection_invariant):
+    em = reference_best_emission(p.quads, p.directed_edges, p.degree)
+    if reflection_invariant:
+        rquads = tuple(q[::-1] for q in p.quads)
+        rdirected = {}
+        for qi, q in enumerate(rquads):
+            for i in range(4):
+                rdirected[(q[i], q[(i + 1) % 4])] = (qi, i)
+        em = min(em, reference_best_emission(rquads, rdirected, p.degree))
+    return struct.pack(f">{len(em)}H", *em)
+
+
+def subdivided_cube(m):
+    """The boundary of an m x m x m block of cubes: 6 m^2 quads."""
+
+    def vid(x):
+        return x[0] + (m + 1) * (x[1] + (m + 1) * x[2])
+
+    quads = []
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        for side in (0, m):
+            for i in range(m):
+                for j in range(m):
+                    cyc = []
+                    for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                        x = [0, 0, 0]
+                        x[a], x[b], x[c] = side, i + di, j + dj
+                        cyc.append(vid(x))
+                    # counterclockwise around +e_a; reversed on the low side
+                    quads.append(tuple(cyc) if side else tuple(cyc[::-1]))
+    return quads
 
 
 def mirrored(p):
@@ -100,6 +182,39 @@ def test_code_is_invariant_under_thousand_relabelings():
             assert canonical_code(q, True) == want_refl
 
 
+def test_codes_equal_the_reference_traversal():
+    ledger = build_ledger(5)
+    patterns = []
+    for rec in ledger.records.values():
+        for parity in ("odd", "even"):
+            count = rec.slot(parity)
+            if count is None:
+                continue
+            packing = replay_witness(rec.witness(parity))
+            patterns.append(extract_boundary(packing))
+            if count <= 4:
+                patterns.extend(
+                    m.pattern
+                    for m in enumerate_moves(packing, dedup_by_successor=False)
+                )
+    assert len(patterns) > 1500
+    for p in patterns:
+        for reflection in (True, False):
+            assert canonical_code(p, reflection) == reference_code(p, reflection)
+
+
+def test_code_refuses_too_many_vertices_before_the_traversal():
+    small = build_pattern(subdivided_cube(3))
+    assert euler_characteristic(small) == 2
+    assert canonical_code(small) == reference_code(small, True)
+    big = SurfacePattern(subdivided_cube(105))
+    assert len(big.vertices) == 6 * 105**2 + 2 > 0xFFFF
+    t = time.perf_counter()
+    with pytest.raises(ValueError, match="16-bit"):
+        canonical_code(big)
+    assert time.perf_counter() - t < 1.0
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_isomorphic_recovers_random_relabelings(rnd):
@@ -121,6 +236,7 @@ def test_reflection_flag_controls_mirror_identification():
     m = mirrored(p)
     assert canonical_code(p, True) == canonical_code(m, True)
     assert canonical_code(p, False) != canonical_code(m, False)
+    assert isomorphic(p, m)[0] and isomorphic(p, m, False) == (False, None)
     # achiral case for contrast
     c = cube_pattern()
     assert canonical_code(c, False) == canonical_code(mirrored(c), False)
