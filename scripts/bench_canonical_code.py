@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time canonical codes in one checkout of hexpack; print one JSON object.
+"""Time canonical codes and the searches built on them in one checkout of
+hexpack; print one JSON object.
 
     python3 scripts/bench_canonical_code.py [CHECKOUT]
 
@@ -8,11 +9,17 @@ checkout; its ``src/`` is imported, never an installed copy, so the same
 script measures any two commits.  The process pins itself, and the test
 suite it starts, to one CPU.  It reports:
 
-- ``build_ledger_6_s``: ``build_ledger(6)`` in process, with its ledger
-  held to the digest pinned in ``perfbench/workloads.py``;
-- ``codes``: every pattern ``build_ledger(6)`` codes, coded again with
-  and without reflection (fresh ``SurfacePattern`` objects each pass,
-  best of three passes), with the per-call time and a digest of the codes;
+- ``build_ledger_6_s`` and ``build_ledger_7_s``: ``build_ledger(6)`` and
+  ``build_ledger(7)`` in process, each ledger held to its pinned digest
+  (``CENSUS_SHA256`` in ``perfbench/workloads.py``, ``LEDGER_7_SHA256``
+  here);
+- ``full_codes_6``: the ``canonical_code`` calls ``build_ledger(6)``
+  makes, through whichever module's binding;
+- ``codes``: every successor pattern ``build_ledger(6)`` realizes (each
+  candidate ``enumerate_moves`` accepts, before deduplication), coded
+  again with and without reflection (fresh ``SurfacePattern`` objects
+  each pass, best of three passes), with the per-call time and a digest
+  of the codes;
 - ``criterion_4_s`` and ``suite_s``: acceptance criterion 4 and the whole
   tier-1 suite, from one ``pytest`` run in the checkout.
 """
@@ -27,6 +34,9 @@ from pathlib import Path
 from time import perf_counter
 
 PASSES = 3
+# build_ledger(7) in checkpoint layer-file form, as ledger_sha256 digests
+# it: 6 138 records.
+LEDGER_7_SHA256 = "fe3d740524672d0d573ecab99373a391d27c0521cdf66c7a6c614746fcb09099"
 
 
 def main(argv=None):
@@ -40,24 +50,42 @@ def main(argv=None):
     from hexpack.surface import SurfacePattern, canonical_code
     from perfbench.workloads import CENSUS_SHA256, ledger_sha256
 
-    t = perf_counter()
-    ledger = build_ledger(6)
-    ledger_s = perf_counter() - t
-    if ledger_sha256(ledger) != CENSUS_SHA256:
-        raise SystemExit("build_ledger(6) differs from the pinned census")
+    timed = {}
+    for depth, want in ((6, CENSUS_SHA256), (7, LEDGER_7_SHA256)):
+        t = perf_counter()
+        ledger = build_ledger(depth)
+        timed[depth] = perf_counter() - t
+        if ledger_sha256(ledger) != want:
+            raise SystemExit(f"build_ledger({depth}) differs from its pinned digest")
+        del ledger
 
     coded = []
-    plain_code = moves.canonical_code
+    full = [0]
+    plain_realize = moves._realize
 
-    def recording_code(pattern, reflection_invariant=True):
-        coded.append(pattern.quads)
-        return plain_code(pattern, reflection_invariant)
+    def recording_realize(*args, **kwargs):
+        cand = plain_realize(*args, **kwargs)
+        if cand is not None and sys._getframe(1).f_code.co_name == "enumerate_moves":
+            coded.append(cand.pattern.quads)
+        return cand
 
-    moves.canonical_code = recording_code
+    def counting_code(pattern, reflection_invariant=True):
+        full[0] += 1
+        return canonical_code(pattern, reflection_invariant)
+
+    bindings = [
+        mod for name, mod in list(sys.modules.items())
+        if name.startswith("hexpack") and getattr(mod, "canonical_code", None) is canonical_code
+    ]
+    moves._realize = recording_realize
+    for mod in bindings:
+        mod.canonical_code = counting_code
     try:
         build_ledger(6)
     finally:
-        moves.canonical_code = plain_code
+        moves._realize = plain_realize
+        for mod in bindings:
+            mod.canonical_code = canonical_code
 
     codes = {"patterns": len(coded)}
     for reflection in (True, False):
@@ -85,7 +113,9 @@ def main(argv=None):
     print(json.dumps({
         "checkout": str(root),
         "python": sys.version.split()[0],
-        "build_ledger_6_s": round(ledger_s, 2),
+        "build_ledger_6_s": round(timed[6], 2),
+        "build_ledger_7_s": round(timed[7], 2),
+        "full_codes_6": full[0],
         "codes": codes,
         "criterion_4_s": float(crit.group(1)) if crit else None,
         "suite_s": float(summary.group(2)) if summary else None,

@@ -27,7 +27,7 @@ from .hexmodel import (
     face_key,
     hex_face_cycle,
 )
-from .surface import SurfacePattern, canonical_code, euler_characteristic
+from .surface import CodeMemo, SurfacePattern, euler_characteristic
 
 # Why _realize turned a candidate down, in the order it checks; each is
 # a key of the counters dict that enumerate_moves fills.
@@ -477,7 +477,7 @@ def _seed_choices(cfg, nquads):
 
 def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
                     reflection_invariant=True, dedup_by_successor=True,
-                    counters=None):
+                    counters=None, memo=None):
     """All legal attachments of one new hex, as MoveResults.
 
     With dedup_by_successor each result carries its successor's
@@ -485,13 +485,21 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
     first placement per code is kept.  Without it every legal placement
     is returned, sorted by placement, with code b"".  The pattern
     argument must be extract_boundary(packing) (it is computed when
-    omitted).  counters, if given, is a dict whose "tried" entry is
-    incremented per candidate seeding examined; each rejected seeding
-    also counts under its reason (see REJECT_REASONS) and each successor
-    code computed under "codes".
+    omitted).  The codes come from memo, a surface.CodeMemo made with the
+    same reflection_invariant (a fresh one when omitted): only the first
+    successor of each isomorphism class the memo meets is coded in full,
+    so callers share one memo across the states of a layer.  counters,
+    if given, is a dict whose "tried" entry is incremented per candidate
+    seeding examined; each rejected seeding also counts under its reason
+    (see REJECT_REASONS) and each successor coded, in full or through
+    the memo, under "codes".
     """
     if pattern is None:
         pattern = extract_boundary(packing)
+    if memo is None:
+        memo = CodeMemo(reflection_invariant)
+    elif memo.reflection_invariant != reflection_invariant:
+        raise ValueError("memo was made for the other reflection mode")
     nquads = len(pattern.quads)
     out = []
     for cfg in _CONFIGS:
@@ -510,7 +518,7 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
             if cand is None:
                 continue
             if dedup_by_successor:
-                code = canonical_code(cand.pattern, reflection_invariant)
+                code = memo.code(cand.pattern)
                 cand = MoveResult(cand.placement, cand.complex, cand.pattern, code)
                 if counters is not None:
                     counters["codes"] = counters.get("codes", 0) + 1

@@ -41,7 +41,7 @@ from .moves import (
     glue_hex,
     initial_packing,
 )
-from .surface import canonical_code, code_quad_count
+from .surface import CodeMemo, canonical_code, code_quad_count
 
 FORMAT_VERSION = 2
 CODE_LAYOUT_VERSION = 1
@@ -65,9 +65,11 @@ class SearchOptions:
 class SearchStats:
     """Search totals.  Every candidate tried either is rejected, counted
     under its reason (rejected_<reason>, see moves.REJECT_REASONS), or
-    gets its successor code computed, so moves_tried equals
-    codes_computed plus every rejected_* count; moves_valid counts the
-    distinct successors each expansion proposed."""
+    gets its successor code, so moves_tried equals codes_computed plus
+    every rejected_* count; moves_valid counts the distinct successors
+    each expansion proposed.  codes_computed counts a code per
+    candidate, although only the first successor of each isomorphism
+    class in a layer is coded in full (see surface.CodeMemo)."""
 
     states_expanded: int = 0
     moves_tried: int = 0
@@ -229,7 +231,7 @@ def _fresh_ledger(options):
     return SearchLedger(records={code: rec}, layer=1, options=options)
 
 
-def _expand_record(code, witness, options):
+def _expand_record(code, witness, options, memo):
     packing, pattern = _replay(witness)
     counters = {}
     cands = enumerate_moves(
@@ -240,6 +242,7 @@ def _expand_record(code, witness, options):
         reflection_invariant=options.reflection_invariant,
         dedup_by_successor=True,
         counters=counters,
+        memo=memo,
     )
     return [(cand.code, code, cand.placement) for cand in cands], counters
 
@@ -311,8 +314,9 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
             work[code] = rec.witness(parity)
 
         proposals = []
+        memo = CodeMemo(options.reflection_invariant)
         for code, witness in work.items():
-            plist, counters = _expand_record(code, witness, options)
+            plist, counters = _expand_record(code, witness, options, memo)
             proposals.extend(plist)
             ledger.stats.add_counters(counters)
             ledger.stats.moves_valid += len(plist)

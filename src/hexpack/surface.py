@@ -12,13 +12,15 @@ for two patterns exactly when they are isomorphic as combinatorial maps
 flat half-edge table built for that call (see _half_edge_table): quad i
 holds half-edges 4*i .. 4*i + 3, so the traversal runs on list indexing
 alone.  The table is not kept on the pattern, because no pattern is
-coded twice and the search holds many patterns at once.
+coded twice and the search holds many patterns at once.  A CodeMemo
+hands out the same codes but codes each isomorphism class in full once.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import cached_property
+from itertools import compress
 
 from .errors import Disconnected, raise_violations
 from .hexmodel import boundary_violations, face_key, oriented_key
@@ -132,6 +134,21 @@ def _half_edge_table(quads):
     return Q, opp, deg, list(dense)
 
 
+def _mirror_table(Q, opp):
+    """(rQ, ropp): the table of the reversed quads, from the direct one.
+
+    Reversed quad qi holds Q[4*qi + 3 - j] at corner j, so its half-edge
+    h = 4*qi + j runs along direct half-edge m(h) = 4*qi + ((2 - j) & 3)
+    the other way, and ropp[h] = m(opp[m(h)]).  Dense ids and deg are
+    those of the direct table.
+    """
+    rQ = Q[:]
+    rQ[0::4], rQ[1::4], rQ[2::4], rQ[3::4] = Q[3::4], Q[2::4], Q[1::4], Q[0::4]
+    mopp = opp[:]  # mopp[h] = opp[m(h)]
+    mopp[0::4], mopp[2::4] = opp[2::4], opp[0::4]
+    return rQ, [o if o & 1 else o ^ 2 for o in mopp]
+
+
 def _rings(n):
     """ring[h] for tables of n half-edges: h's quad in cyclic order from h.
 
@@ -147,6 +164,20 @@ def _rings(n):
             (b + 3, b, b + 1, b + 2),
         )
     ]
+
+
+def _roots(Q, opp, deg):
+    """The half-edges whose (deg tail, deg head) pair is minimal, in order.
+
+    The minimal pair is isomorphism-invariant, so an isomorphism maps
+    roots onto roots, and a pattern and its mirror have the same number.
+    """
+    dq = list(map(deg.__getitem__, Q))
+    least = min(deg)
+    tails = list(compress(range(len(Q)), map(least.__eq__, dq)))
+    heads = [dq[opp[h]] for h in tails]
+    least = min(heads)
+    return [h for h, d in zip(tails, heads) if d == least]
 
 
 def _walk(root, Q, opp, ring, nv, best):
@@ -189,22 +220,48 @@ def _walk(root, Q, opp, ring, nv, best):
     return emission, labels
 
 
+def _follows(root, Q, opp, ring, nv, em):
+    """Whether the BFS of _walk from root emits exactly em.
+
+    The walk gives up at the first label that differs.  len(em) must be
+    len(Q).
+    """
+    labels = [-1] * nv
+    seen = [False] * (len(Q) >> 2)
+    seen[root >> 2] = True
+    queue = [root]
+    pos = nxt = 0
+    for h in queue:
+        for e in ring[h]:
+            v = Q[e]
+            lab = labels[v]
+            if lab < 0:
+                if em[pos] != nxt:
+                    return False
+                labels[v] = nxt
+                nxt += 1
+            elif em[pos] != lab:
+                return False
+            pos += 1
+            o = opp[e]
+            if not seen[o >> 2]:
+                seen[o >> 2] = True
+                queue.append(o)
+    return True
+
+
 def _best_emission(Q, opp, deg, ring):
     """(emission, labels) of the lexicographically smallest BFS emission.
 
-    The roots are the half-edges whose (deg tail, deg head) pair is
-    minimal, tried in half-edge order; the first smallest emission wins.
-    The minimal pair is isomorphism-invariant, so the code is canonical,
-    but it is not the minimum over all half-edges.
+    The roots (see _roots) are tried in half-edge order; the first
+    smallest emission wins.  The code is canonical because the roots
+    are, but it is not the minimum over all half-edges.
     """
-    pairs = [(deg[Q[h]], deg[Q[o]]) for h, o in enumerate(opp)]
-    least = min(pairs)
     best = best_labels = None
-    for root, pair in enumerate(pairs):
-        if pair == least:
-            emission, labels = _walk(root, Q, opp, ring, len(deg), best)
-            if emission is not None:
-                best, best_labels = emission, labels
+    for root in _roots(Q, opp, deg):
+        emission, labels = _walk(root, Q, opp, ring, len(deg), best)
+        if emission is not None:
+            best, best_labels = emission, labels
     return best, best_labels
 
 
@@ -218,10 +275,9 @@ def _canonical(p, reflection_invariant):
     Q, opp, deg, ids = _half_edge_table(p.quads)
     em, labels = _best_emission(Q, opp, deg, ring)
     if reflection_invariant:
-        rQ, ropp, rdeg, rids = _half_edge_table([q[::-1] for q in p.quads])
-        rem, rlabels = _best_emission(rQ, ropp, rdeg, ring)
+        rem, rlabels = _best_emission(*_mirror_table(Q, opp), deg, ring)
         if rem < em:
-            return rem, rlabels, rids
+            return rem, rlabels, ids
     return em, labels, ids
 
 
@@ -237,6 +293,79 @@ def canonical_code(p, reflection_invariant=True):
         raise ValueError("pattern too large for 16-bit label encoding")
     em, _, _ = _canonical(p, reflection_invariant)
     return struct.pack(f">{len(em)}H", *em)
+
+
+def _bucket_key(Q, deg, roots):
+    """A hash of the root count and the multiset of the quads' sorted
+    corner degrees: equal for isomorphic and mirrored patterns."""
+    dq = list(map(deg.__getitem__, Q))
+    corners = sorted(map(tuple, map(sorted, zip(dq[::4], dq[1::4], dq[2::4], dq[3::4]))))
+    return hash((len(roots), *corners))
+
+
+class CodeMemo:
+    """Canonical codes that code each isomorphism class in full once.
+
+    code(p) returns canonical_code(p, reflection_invariant).  The memo
+    keeps every code it returned, bucketed by an invariant of the pattern
+    (see _bucket_key).  A pattern is matched exactly against each code in
+    its bucket (see _match) and coded in full only when it matches none;
+    a shared bucket costs time, never a wrong code.  The search
+    shares one memo across a layer's expansions; it holds only code
+    bytes, bucket hashes and one _rings list per table size.
+    """
+
+    def __init__(self, reflection_invariant=True):
+        self.reflection_invariant = reflection_invariant
+        self._buckets = {}
+        self._rings = {}
+
+    def code(self, p):
+        Q, opp, deg, _ = _half_edge_table(p.quads)
+        roots = _roots(Q, opp, deg)
+        bucket = self._buckets.setdefault(_bucket_key(Q, deg, roots), [])
+        if bucket:
+            ring = self._rings.get(len(Q))
+            if ring is None:
+                ring = self._rings[len(Q)] = _rings(len(Q))
+            code = _match(bucket, Q, opp, deg, roots, ring, self.reflection_invariant)
+            if code is not None:
+                return code
+        # a module global, so every full code passes through canonical_code
+        code = canonical_code(p, self.reflection_invariant)
+        bucket.append(code)
+        return code
+
+
+def _match(codes, Q, opp, deg, roots, ring, reflection_invariant):
+    """The first of codes whose emission a root of the table emits, or None.
+
+    A rooted emission describes the labelled map completely, so a match
+    proves the pattern isomorphic to the code's pattern.  Conversely the
+    winning root of an isomorphic class maps onto one of roots, or with
+    reflection onto a root of the mirror table, built only when needed.
+    Only roots whose quad shows the degrees of labels 1, 2, 3 of the
+    code are walked.
+    """
+    n = len(Q)
+    tables = [(Q, opp, roots)]
+    for code in codes:
+        if len(code) != 2 * n:
+            continue
+        em = struct.unpack(f">{n}H", code)
+        triple = (em.count(1), em.count(2), em.count(3))
+        for i in range(1 + reflection_invariant):
+            if i == len(tables):
+                rQ, ropp = _mirror_table(Q, opp)
+                tables.append((rQ, ropp, _roots(rQ, ropp, deg)))
+            tQ, topp, troots = tables[i]
+            for r in troots:
+                _, a, b, c = ring[r]
+                if (deg[tQ[a]], deg[tQ[b]], deg[tQ[c]]) == triple and _follows(
+                    r, tQ, topp, ring, len(deg), em
+                ):
+                    return code
+    return None
 
 
 def code_quad_count(code):

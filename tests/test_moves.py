@@ -28,8 +28,9 @@ from hexpack.moves import (
     glue_configs,
     initial_packing,
 )
-from hexpack.search import build_ledger, replay_witness
+from hexpack.search import SearchOptions, build_ledger, replay_witness
 from hexpack.surface import (
+    CodeMemo,
     SurfacePattern,
     build_pattern,
     canonical_code,
@@ -109,6 +110,39 @@ def test_dedup_keeps_the_first_placement_per_successor_code():
     for m in raw:
         firsts.setdefault(canonical_code(m.pattern), m.placement)
     assert [(m.code, m.placement) for m in dedup] == sorted(firsts.items())
+
+
+def reference_dedup(packing, reflection_invariant):
+    """enumerate_moves' kept (code, placement) pairs, from a full canonical
+    code of every candidate: the first placement per code, by code."""
+    firsts = {}
+    for m in enumerate_moves(packing, dedup_by_successor=False):
+        firsts.setdefault(canonical_code(m.pattern, reflection_invariant), m.placement)
+    return sorted(firsts.items())
+
+
+@pytest.mark.parametrize("reflection", [True, False])
+def test_layer_memo_keeps_the_pairs_of_a_full_code_per_candidate(reflection):
+    # every state build_ledger(6) expands, each layer sharing one memo as
+    # build_ledger does
+    ledger = build_ledger(5, SearchOptions(reflection_invariant=reflection))
+    layers = {}
+    for _, rec in sorted(ledger.records.items()):
+        for parity in ("odd", "even"):
+            if rec.slot(parity) is not None:
+                layers.setdefault(rec.slot(parity), []).append(rec.witness(parity))
+    assert sum(map(len, layers.values())) == (84 if reflection else 105)
+    for witnesses in layers.values():
+        memo = CodeMemo(reflection)
+        for witness in witnesses:
+            packing = replay_witness(witness)
+            got = enumerate_moves(packing, reflection_invariant=reflection, memo=memo)
+            assert [(m.code, m.placement) for m in got] == reference_dedup(
+                packing, reflection
+            )
+    with pytest.raises(ValueError, match="reflection"):
+        enumerate_moves(packing, reflection_invariant=reflection,
+                        memo=CodeMemo(not reflection))
 
 
 def test_layer_three_pattern_census():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexpack import surface
 from hexpack.errors import (
     Disconnected,
     InconsistentOrientation,
@@ -17,6 +18,7 @@ from hexpack.hexmodel import build_complex, extract_boundary
 from hexpack.moves import Placement, enumerate_moves
 from hexpack.search import build_ledger, replay_witness
 from hexpack.surface import (
+    CodeMemo,
     SurfacePattern,
     build_pattern,
     canonical_code,
@@ -240,6 +242,58 @@ def test_reflection_flag_controls_mirror_identification():
     # achiral case for contrast
     c = cube_pattern()
     assert canonical_code(c, False) == canonical_code(mirrored(c), False)
+
+
+def counting_full_codes(monkeypatch):
+    """The patterns the memo codes in full, as it calls canonical_code."""
+    full = []
+    plain = surface.canonical_code
+
+    def counted(p, reflection_invariant=True):
+        full.append(p)
+        return plain(p, reflection_invariant)
+
+    monkeypatch.setattr(surface, "canonical_code", counted)
+    return full
+
+
+def test_memo_joins_a_chiral_class_and_its_mirror_only_with_reflection(monkeypatch):
+    witness = tuple(
+        Placement.from_token(t) for t in "1:0:0;1:0:1;1:0:6".split(";")
+    )
+    p = extract_boundary(replay_witness(witness))
+    m = mirrored(p)
+    want = {r: (canonical_code(p, r), canonical_code(m, r)) for r in (True, False)}
+    full = counting_full_codes(monkeypatch)
+    memo = CodeMemo(True)
+    assert (memo.code(p), memo.code(m), memo.code(p)) == want[True] + want[True][:1]
+    assert full == [p]
+    full.clear()
+    memo = CodeMemo(False)
+    assert (memo.code(p), memo.code(m), memo.code(m)) == want[False] + want[False][1:]
+    assert want[False][0] != want[False][1]
+    assert full == [p, m]
+
+
+def test_memo_tells_apart_patterns_forced_into_one_bucket(monkeypatch):
+    ledger = build_ledger(4)
+    patterns = []
+    for rec in ledger.records.values():
+        packing = replay_witness(rec.best()[1])
+        patterns.append(extract_boundary(packing))
+        patterns.append(mirrored(patterns[-1]))
+    rnd = random.Random(8)
+    patterns += [shuffled_relabel(p, rnd) for p in patterns]
+    monkeypatch.setattr(surface, "_bucket_key", lambda Q, deg, roots: 0)
+    full = counting_full_codes(monkeypatch)
+    for reflection in (True, False):
+        want = [canonical_code(p, reflection) for p in patterns]
+        full.clear()
+        memo = CodeMemo(reflection)
+        assert [memo.code(p) for p in patterns] == want
+        assert len(full) == len(set(want))
+        # some bucket-mates have one quad count and still differ
+        assert len(set(want)) > len({len(code) for code in want})
 
 
 def test_mirroring_is_invisible_with_reflection_invariance(pyramid):
