@@ -16,7 +16,7 @@ import argparse
 import sys
 import time
 
-from hexpack.cli import _add_search_flags, _options_from_args
+from hexpack.cli import EXIT_EXHAUSTED, EXIT_OK, _add_search_flags, _options_from_args
 from hexpack.formats import write_mesh, write_witness
 from hexpack.search import build_ledger, replay_witness
 from hexpack.surface import canonical_code, pyramid16_pattern
@@ -57,7 +57,7 @@ def main(argv=None):
     best = rec.best() if rec is not None else None
     if best is None:
         print(f"exhausted: no packing within {args.max_hexes} hexes")
-        return 3
+        return EXIT_EXHAUSTED
 
     count, witness = best
     print(f"found: {count} hexes")
@@ -68,7 +68,7 @@ def main(argv=None):
     with open(args.mesh_out, "w") as fh:
         fh.write(write_mesh(packing))
     print(f"wrote {args.mesh_out}")
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

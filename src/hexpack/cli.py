@@ -45,6 +45,7 @@ from .hexmodel import (
     hex_parity,
     subdivide_hex,
 )
+from .moves import glue_configs
 from .search import (
     SearchOptions,
     find_grow_order,
@@ -57,6 +58,8 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
+
+_CONFIG_IDS = tuple(cfg.id for cfg in glue_configs())
 
 
 def _read(path):
@@ -106,8 +109,8 @@ def _add_search_flags(sub, with_checkpoint=True):
     sub.add_argument("--no-sphere-mode", action="store_true",
                      help="allow non-sphere boundary topology")
     sub.add_argument("--configs", type=_config_list,
-                     default=tuple(range(1, 9)),
-                     help="comma-separated glue config ids (default all 8)")
+                     default=_CONFIG_IDS,
+                     help="comma-separated glue config ids (default all)")
     if with_checkpoint:
         sub.add_argument("--checkpoint", metavar="DIR",
                          help="checkpoint directory (resumes if present)")
@@ -119,10 +122,10 @@ def _config_list(text):
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad config list {text!r}")
     for cid in ids:
-        if not 1 <= cid <= 8:
-            raise argparse.ArgumentTypeError(f"config id {cid} out of range 1..8")
-    if not ids:
-        raise argparse.ArgumentTypeError("empty config list")
+        if cid not in _CONFIG_IDS:
+            raise argparse.ArgumentTypeError(
+                f"config id {cid} out of range {_CONFIG_IDS[0]}..{_CONFIG_IDS[-1]}"
+            )
     return ids
 
 

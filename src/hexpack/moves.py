@@ -476,8 +476,7 @@ def _seed_choices(cfg, nquads):
 
 
 def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
-                    reflection_invariant=True, dedup_by_successor=True,
-                    counters=None, memo=None):
+                    dedup_by_successor=True, counters=None, memo=None):
     """All legal attachments of one new hex, as MoveResults.
 
     With dedup_by_successor each result carries its successor's
@@ -485,21 +484,20 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
     first placement per code is kept.  Without it every legal placement
     is returned, sorted by placement, with code b"".  The pattern
     argument must be extract_boundary(packing) (it is computed when
-    omitted).  The codes come from memo, a surface.CodeMemo made with the
-    same reflection_invariant (a fresh one when omitted): only the first
-    successor of each isomorphism class the memo meets is coded in full,
-    so callers share one memo across the states of a layer.  counters,
-    if given, is a dict whose "tried" entry is incremented per candidate
-    seeding examined; each rejected seeding also counts under its reason
-    (see REJECT_REASONS) and each successor coded, in full or through
-    the memo, under "codes".
+    omitted).  The codes come from memo, a surface.CodeMemo (a fresh
+    CodeMemo() when omitted), whose reflection mode decides whether
+    mirror images share a code: only the first successor of each
+    isomorphism class the memo meets is coded in full, so callers share
+    one memo across the states of a layer.  counters, if given, is a
+    dict whose "tried" entry is incremented per candidate seeding
+    examined; each rejected seeding also counts under its reason (see
+    REJECT_REASONS) and each successor coded, in full or through the
+    memo, under "codes".
     """
     if pattern is None:
         pattern = extract_boundary(packing)
     if memo is None:
-        memo = CodeMemo(reflection_invariant)
-    elif memo.reflection_invariant != reflection_invariant:
-        raise ValueError("memo was made for the other reflection mode")
+        memo = CodeMemo()
     nquads = len(pattern.quads)
     out = []
     for cfg in _CONFIGS:

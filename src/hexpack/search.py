@@ -60,6 +60,12 @@ class SearchOptions:
     allowed_configs: tuple = tuple(cfg.id for cfg in glue_configs())
     checkpoint_dir: str = None
 
+    def __post_init__(self):
+        # a set of config ids: one order, no repeats
+        object.__setattr__(
+            self, "allowed_configs", tuple(sorted(set(self.allowed_configs)))
+        )
+
 
 @dataclass
 class SearchStats:
@@ -239,7 +245,6 @@ def _expand_record(code, witness, options, memo):
         pattern,
         set(options.allowed_configs),
         sphere_mode=options.sphere_mode,
-        reflection_invariant=options.reflection_invariant,
         dedup_by_successor=True,
         counters=counters,
         memo=memo,
@@ -269,8 +274,9 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
         os.path.join(options.checkpoint_dir, MANIFEST_NAME)
     ):
         ledger = load_checkpoint(options.checkpoint_dir)
-        for name in ("sphere_mode", "reflection_invariant", "allowed_configs"):
-            if getattr(ledger.options, name) != getattr(options, name):
+        written, wanted = _options_to_json(ledger.options), _options_to_json(options)
+        for name in written:
+            if written[name] != wanted[name]:
                 raise CheckpointCorrupt(
                     f"checkpoint was written with different {name}"
                 )
@@ -378,7 +384,8 @@ def find_templates(max_hexes, options=None):
             continue
         for parity in ("odd", "even"):
             why = _slot_mismatch(rec, parity, options.reflection_invariant)
-            assert why is None, why
+            if why is not None:
+                raise AssertionError(why)
         hits.append(
             TemplateHit(
                 code,

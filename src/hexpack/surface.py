@@ -12,14 +12,16 @@ for two patterns exactly when they are isomorphic as combinatorial maps
 flat half-edge table built for that call (see _half_edge_table): quad i
 holds half-edges 4*i .. 4*i + 3, so the traversal runs on list indexing
 alone.  The table is not kept on the pattern, because no pattern is
-coded twice and the search holds many patterns at once.  A CodeMemo
-hands out the same codes but codes each isomorphism class in full once.
+coded twice and the search holds many patterns at once.  A CodeMemo,
+made for one reflection mode, hands out the same codes but codes each
+isomorphism class in full once; it tests a pattern against a known code
+with the same walk (_walk) that computes codes.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress
 
 from .errors import Disconnected, raise_violations
@@ -149,10 +151,13 @@ def _mirror_table(Q, opp):
     return rQ, [o if o & 1 else o ^ 2 for o in mopp]
 
 
+@cache
 def _rings(n):
     """ring[h] for tables of n half-edges: h's quad in cyclic order from h.
 
-    It depends on n alone, so a pattern and its mirror share one.
+    It depends on n alone, so it is built once per size and shared by
+    every table of that size, mirrors included.  Callers must not change
+    it.
     """
     return [
         r
@@ -180,23 +185,32 @@ def _roots(Q, opp, deg):
     return [h for h, d in zip(tails, heads) if d == least]
 
 
+def _tables(Q, opp, deg, roots, reflection_invariant):
+    """Yield (Q, opp, roots) of the direct table, then, with reflection,
+    those of the mirror table, which is built only when reached."""
+    yield Q, opp, roots
+    if reflection_invariant:
+        rQ, ropp = _mirror_table(Q, opp)
+        yield rQ, ropp, _roots(rQ, ropp, deg)
+
+
 def _walk(root, Q, opp, ring, nv, best):
-    """(emission, labels) of the BFS from root, or (None, None).
+    """The BFS from root, compared with best label by label.
 
     Quads are visited breadth first across edges, each read starting at
     the half-edge it was entered by; a vertex gets the next label when
-    first met, and labels[d] is the label of dense vertex d.  Each label
-    is compared with best as it is emitted: the walk gives up as soon as
-    its emission is larger, and returns (None, None) too when it ends
-    equal to best.
+    first met, and labels[d] is the label of dense vertex d.  Returns
+    (emission, labels) when the emission is smaller than best (or best
+    is None), (best, None) when it equals best, and (None, None) as soon
+    as it is larger.  The emission list is started only when the walk
+    first drops below best, so a walk that follows best builds none.
     """
     labels = [-1] * nv
     seen = [False] * (len(Q) >> 2)
     seen[root >> 2] = True
     queue = [root]
-    emission = []
-    nxt = 0
-    tied = best is not None
+    emission = None if best is not None else []
+    pos = nxt = 0
     for h in queue:  # the loop also reads the half-edges appended below
         for e in ring[h]:
             v = Q[e]
@@ -204,64 +218,37 @@ def _walk(root, Q, opp, ring, nv, best):
             if lab < 0:
                 labels[v] = lab = nxt
                 nxt += 1
-            if tied:
-                ref = best[len(emission)]
-                if lab != ref:
-                    if lab > ref:
-                        return None, None
-                    tied = False
-            emission.append(lab)
-            o = opp[e]
-            if not seen[o >> 2]:
-                seen[o >> 2] = True
-                queue.append(o)
-    if tied:
-        return None, None
-    return emission, labels
-
-
-def _follows(root, Q, opp, ring, nv, em):
-    """Whether the BFS of _walk from root emits exactly em.
-
-    The walk gives up at the first label that differs.  len(em) must be
-    len(Q).
-    """
-    labels = [-1] * nv
-    seen = [False] * (len(Q) >> 2)
-    seen[root >> 2] = True
-    queue = [root]
-    pos = nxt = 0
-    for h in queue:
-        for e in ring[h]:
-            v = Q[e]
-            lab = labels[v]
-            if lab < 0:
-                if em[pos] != nxt:
-                    return False
-                labels[v] = nxt
-                nxt += 1
-            elif em[pos] != lab:
-                return False
+            if emission is not None:
+                emission.append(lab)
+            elif lab != best[pos]:
+                if lab > best[pos]:
+                    return None, None
+                emission = list(best[:pos])
+                emission.append(lab)
             pos += 1
             o = opp[e]
             if not seen[o >> 2]:
                 seen[o >> 2] = True
                 queue.append(o)
-    return True
+    if emission is None:
+        return best, None
+    return emission, labels
 
 
-def _best_emission(Q, opp, deg, ring):
+def _best_emission(tables, ring, nv):
     """(emission, labels) of the lexicographically smallest BFS emission.
 
-    The roots (see _roots) are tried in half-edge order; the first
-    smallest emission wins.  The code is canonical because the roots
-    are, but it is not the minimum over all half-edges.
+    The roots of each table (see _roots) are tried in half-edge order;
+    the first smallest emission wins, so the direct table wins a tie
+    with its mirror.  The code is canonical because the roots are, but
+    it is not the minimum over all half-edges.
     """
     best = best_labels = None
-    for root in _roots(Q, opp, deg):
-        emission, labels = _walk(root, Q, opp, ring, len(deg), best)
-        if emission is not None:
-            best, best_labels = emission, labels
+    for Q, opp, roots in tables:
+        for root in roots:
+            emission, labels = _walk(root, Q, opp, ring, nv, best)
+            if labels is not None:
+                best, best_labels = emission, labels
     return best, best_labels
 
 
@@ -269,15 +256,12 @@ def _canonical(p, reflection_invariant):
     """(emission, labels, ids) of the winning traversal.
 
     labels[d] is the discovery label of dense vertex d and ids[d] its id
-    in p.  The mirror pass runs on the table of the reversed quads.
+    in p.  With reflection the roots of the mirror table (the reversed
+    quads) compete too.
     """
-    ring = _rings(4 * len(p.quads))
     Q, opp, deg, ids = _half_edge_table(p.quads)
-    em, labels = _best_emission(Q, opp, deg, ring)
-    if reflection_invariant:
-        rem, rlabels = _best_emission(*_mirror_table(Q, opp), deg, ring)
-        if rem < em:
-            return rem, rlabels, ids
+    tables = _tables(Q, opp, deg, _roots(Q, opp, deg), reflection_invariant)
+    em, labels = _best_emission(tables, _rings(len(Q)), len(deg))
     return em, labels, ids
 
 
@@ -312,23 +296,20 @@ class CodeMemo:
     its bucket (see _match) and coded in full only when it matches none;
     a shared bucket costs time, never a wrong code.  The search
     shares one memo across a layer's expansions; it holds only code
-    bytes, bucket hashes and one _rings list per table size.
+    bytes and bucket hashes.
     """
 
     def __init__(self, reflection_invariant=True):
         self.reflection_invariant = reflection_invariant
         self._buckets = {}
-        self._rings = {}
 
     def code(self, p):
         Q, opp, deg, _ = _half_edge_table(p.quads)
         roots = _roots(Q, opp, deg)
         bucket = self._buckets.setdefault(_bucket_key(Q, deg, roots), [])
         if bucket:
-            ring = self._rings.get(len(Q))
-            if ring is None:
-                ring = self._rings[len(Q)] = _rings(len(Q))
-            code = _match(bucket, Q, opp, deg, roots, ring, self.reflection_invariant)
+            tables = _tables(Q, opp, deg, roots, self.reflection_invariant)
+            code = _match(bucket, tables, deg, _rings(len(Q)))
             if code is not None:
                 return code
         # a module global, so every full code passes through canonical_code
@@ -337,33 +318,29 @@ class CodeMemo:
         return code
 
 
-def _match(codes, Q, opp, deg, roots, ring, reflection_invariant):
-    """The first of codes whose emission a root of the table emits, or None.
+def _match(codes, tables, deg, ring):
+    """The first of codes whose emission a root of the tables emits, or None.
 
     A rooted emission describes the labelled map completely, so a match
     proves the pattern isomorphic to the code's pattern.  Conversely the
-    winning root of an isomorphic class maps onto one of roots, or with
-    reflection onto a root of the mirror table, built only when needed.
-    Only roots whose quad shows the degrees of labels 1, 2, 3 of the
-    code are walked.
+    winning root of an isomorphic class maps onto a root of one of the
+    tables: the direct one, or with reflection the mirror, which is
+    built only when the direct roots match no code.  Only roots whose
+    quad shows the degrees of labels 1, 2, 3 of the code are walked.
     """
-    n = len(Q)
-    tables = [(Q, opp, roots)]
+    n = len(ring)
+    ems = []
     for code in codes:
-        if len(code) != 2 * n:
-            continue
-        em = struct.unpack(f">{n}H", code)
-        triple = (em.count(1), em.count(2), em.count(3))
-        for i in range(1 + reflection_invariant):
-            if i == len(tables):
-                rQ, ropp = _mirror_table(Q, opp)
-                tables.append((rQ, ropp, _roots(rQ, ropp, deg)))
-            tQ, topp, troots = tables[i]
-            for r in troots:
+        if len(code) == 2 * n:
+            em = struct.unpack(f">{n}H", code)
+            ems.append((code, em, (em.count(1), em.count(2), em.count(3))))
+    for Q, opp, roots in tables:
+        for code, em, triple in ems:
+            for r in roots:
                 _, a, b, c = ring[r]
-                if (deg[tQ[a]], deg[tQ[b]], deg[tQ[c]]) == triple and _follows(
-                    r, tQ, topp, ring, len(deg), em
-                ):
+                if (deg[Q[a]], deg[Q[b]], deg[Q[c]]) == triple and _walk(
+                    r, Q, opp, ring, len(deg), em
+                )[0] is em:
                     return code
     return None
 

@@ -1,5 +1,7 @@
 """End-to-end command tests driving main() in process."""
 
+import json
+
 from conftest import grid_complex
 
 from hexpack.cli import main
@@ -159,6 +161,17 @@ def test_search_rejects_bad_config_lists(capsys):
             bad,
         )
         assert rc == 2
+
+
+def test_search_writes_configs_as_a_set(capsys, tmp_path):
+    ck = tmp_path / "ck"
+    rc, _, _ = run(
+        capsys, "search", "--target", "builtin:cube", "--max-hexes", "1",
+        "--configs", "1,1", "--checkpoint", str(ck),
+    )
+    assert rc == 0
+    manifest = json.loads((ck / "manifest.json").read_text())
+    assert manifest["options"]["allowed_configs"] == [1]
 
 
 def test_search_unknown_builtin_target(capsys):

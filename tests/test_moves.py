@@ -136,13 +136,10 @@ def test_layer_memo_keeps_the_pairs_of_a_full_code_per_candidate(reflection):
         memo = CodeMemo(reflection)
         for witness in witnesses:
             packing = replay_witness(witness)
-            got = enumerate_moves(packing, reflection_invariant=reflection, memo=memo)
+            got = enumerate_moves(packing, memo=memo)
             assert [(m.code, m.placement) for m in got] == reference_dedup(
                 packing, reflection
             )
-    with pytest.raises(ValueError, match="reflection"):
-        enumerate_moves(packing, reflection_invariant=reflection,
-                        memo=CodeMemo(not reflection))
 
 
 def test_layer_three_pattern_census():

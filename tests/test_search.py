@@ -13,6 +13,7 @@ from hexpack.moves import (
 )
 from hexpack.search import (
     FORMAT_VERSION,
+    PatternRecord,
     SearchOptions,
     build_ledger,
     find_grow_order,
@@ -177,6 +178,26 @@ def test_checkpoint_rejects_other_options(tmp_path):
         build_ledger(
             3, SearchOptions(checkpoint_dir=d, reflection_invariant=False)
         )
+
+
+def test_checkpoint_with_reordered_configs_resumes(tmp_path):
+    # allowed_configs is a set of ids: a manifest that lists them in
+    # another order or with repeats describes the same search
+    import json
+
+    assert SearchOptions(allowed_configs=(2, 1, 2)).allowed_configs == (1, 2)
+    d = str(tmp_path / "ck")
+    build_ledger(2, SearchOptions(checkpoint_dir=d))
+    manifest_path = os.path.join(d, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest["options"]["allowed_configs"] = [2, 1, 3, 4, 5, 6, 7, 8, 1]
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    resumed = build_ledger(3, SearchOptions(checkpoint_dir=d))
+    fresh = build_ledger(3)
+    assert set(resumed.records) == set(fresh.records)
+    assert resumed.stats == fresh.stats
 
 
 def test_checkpoint_rejects_version_and_garbage(tmp_path):
@@ -399,6 +420,22 @@ def test_verify_template_same_parity(pyramid):
 
 def test_find_templates_empty_at_small_budget():
     assert find_templates(3) == ()
+
+
+def test_find_templates_refuses_a_hit_that_does_not_replay(monkeypatch):
+    # no parity pair exists within 6 hexes, so forge one: the cube's
+    # record with an even witness that builds another boundary
+    import hexpack.search as search
+
+    ledger = build_ledger(2)
+    two = next(rec for rec in ledger.records.values() if rec.min_even == 2)
+    cube = canonical_code(cube_pattern())
+    ledger.records = {
+        cube: PatternRecord(cube, 1, 2, (), two.witness_even),
+    }
+    monkeypatch.setattr(search, "build_ledger", lambda *args: ledger)
+    with pytest.raises(AssertionError, match="does not replay to its code"):
+        find_templates(2)
 
 
 def test_stats_are_consistent():
