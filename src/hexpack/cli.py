@@ -45,7 +45,6 @@ from .hexmodel import (
     hex_parity,
     subdivide_hex,
 )
-from .moves import glue_configs
 from .search import (
     SearchOptions,
     find_grow_order,
@@ -58,8 +57,6 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
-
-_CONFIG_IDS = tuple(cfg.id for cfg in glue_configs())
 
 
 def _read(path):
@@ -109,7 +106,7 @@ def _add_search_flags(sub, with_checkpoint=True):
     sub.add_argument("--no-sphere-mode", action="store_true",
                      help="allow non-sphere boundary topology")
     sub.add_argument("--configs", type=_config_list,
-                     default=_CONFIG_IDS,
+                     default=SearchOptions.allowed_configs,
                      help="comma-separated glue config ids (default all)")
     if with_checkpoint:
         sub.add_argument("--checkpoint", metavar="DIR",
@@ -118,15 +115,10 @@ def _add_search_flags(sub, with_checkpoint=True):
 
 def _config_list(text):
     try:
-        ids = tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad config list {text!r}")
-    for cid in ids:
-        if cid not in _CONFIG_IDS:
-            raise argparse.ArgumentTypeError(
-                f"config id {cid} out of range {_CONFIG_IDS[0]}..{_CONFIG_IDS[-1]}"
-            )
-    return ids
+        ids = [int(t) for t in text.split(",")]
+        return SearchOptions(allowed_configs=ids).allowed_configs
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"bad config list {text!r}: {err}")
 
 
 def cmd_verify(args):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import MissingCoordinates, ParseError
-from .hexmodel import HexComplex, build_complex
+from .hexmodel import build_complex
 from .moves import Placement
 from .surface import build_pattern
 
@@ -33,52 +33,70 @@ def _fmt(x):
     return repr(x)
 
 
+def _document(text, header, body_sizes=lambda n: (n,)):
+    """(counts, body) of a text document.
+
+    The first data line is the header: the word and integer counts that
+    header spells, as in 'coords N'.  body holds the other data lines
+    as (line number, tokens); body_sizes maps the counts to the numbers
+    of them allowed.
+    """
+    word, *names = header.split()
+    lines = _data_lines(text)
+    if not lines:
+        raise ParseError("empty document")
+    no, (got, *counts) = lines[0]
+    try:
+        counts = [int(t) for t in counts]
+    except ValueError:
+        counts = None
+    if got != word or counts is None or len(counts) != len(names):
+        raise ParseError(f"expected header '{header}'", no)
+    if min(counts) < 0:
+        raise ParseError("negative count in header", no)
+    body = lines[1:]
+    sizes = sorted(set(body_sizes(*counts)))
+    if len(body) not in sizes:
+        raise ParseError(
+            f"expected {' or '.join(map(str, sizes))} data lines, "
+            f"found {len(body)}"
+        )
+    return counts, body
+
+
+def _row(no, toks, types, what):
+    """A data line's tokens converted by types, one type per token.
+
+    Numbers must be finite.  Any fault raises ParseError at line no,
+    naming what the line should hold.
+    """
+    if len(toks) != len(types):
+        raise ParseError(f"expected {what}, got {len(toks)} tokens", no)
+    try:
+        row = tuple(t(x) for t, x in zip(types, toks))
+    except ValueError:
+        raise ParseError(f"bad value in {what}", no) from None
+    if not all(math.isfinite(x) for t, x in zip(types, row) if t is float):
+        raise ParseError(f"non-finite value in {what}", no)
+    return row
+
+
 def parse_mesh(text):
     """Parse a hexmesh document -> (HexComplex, coords-or-None).
 
     Layout: header `hexmesh V H`, then V coordinate lines (optional,
     detected by line count), then H hex lines of 8 vertex ids.
     """
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError("empty document")
-    no, head = lines[0]
-    if len(head) != 3 or head[0] != "hexmesh":
-        raise ParseError("expected header 'hexmesh V H'", no)
-    try:
-        nv, nh = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError("expected header 'hexmesh V H'", no) from None
-    if nv < 0 or nh < 0:
-        raise ParseError("negative count in header", no)
-    body = lines[1:]
-    if len(body) == nh:
-        coord_rows = []
-    elif len(body) == nv + nh:
-        coord_rows = body[:nv]
-    else:
-        raise ParseError(
-            f"expected {nh} or {nv + nh} data lines, found {len(body)}"
-        )
-    coords = None
-    if coord_rows:
-        coords = []
-        for no, toks in coord_rows:
-            if len(toks) != 3:
-                raise ParseError(f"expected 3 coordinates, got {len(toks)}", no)
-            try:
-                coords.append(tuple(float(t) for t in toks))
-            except ValueError:
-                raise ParseError("bad coordinate value", no) from None
-    hexes = []
-    for no, toks in body[len(coord_rows):]:
-        if len(toks) != 8:
-            raise ParseError(f"expected 8 vertex ids, got {len(toks)}", no)
-        try:
-            hexes.append(tuple(int(t) for t in toks))
-        except ValueError:
-            raise ParseError("bad vertex id", no) from None
-    return build_complex(hexes, nv), coords
+    (nv, nh), body = _document(text, "hexmesh V H", lambda nv, nh: (nh, nv + nh))
+    ncoords = len(body) - nh
+    coords = [
+        _row(no, toks, (float,) * 3, "3 coordinates")
+        for no, toks in body[:ncoords]
+    ]
+    hexes = [
+        _row(no, toks, (int,) * 8, "8 vertex ids") for no, toks in body[ncoords:]
+    ]
+    return build_complex(hexes, nv), coords or None
 
 
 def write_mesh(c, coords=None):
@@ -98,28 +116,10 @@ def write_mesh(c, coords=None):
 
 def parse_pattern(text):
     """Parse a quadpattern document -> SurfacePattern."""
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError("empty document")
-    no, head = lines[0]
-    if len(head) != 2 or head[0] != "quadpattern":
-        raise ParseError("expected header 'quadpattern F'", no)
-    try:
-        nf = int(head[1])
-    except ValueError:
-        raise ParseError("expected header 'quadpattern F'", no) from None
-    body = lines[1:]
-    if len(body) != nf:
-        raise ParseError(f"expected {nf} quad lines, found {len(body)}")
-    quads = []
-    for no, toks in body:
-        if len(toks) != 4:
-            raise ParseError(f"expected 4 vertex ids, got {len(toks)}", no)
-        try:
-            quads.append(tuple(int(t) for t in toks))
-        except ValueError:
-            raise ParseError("bad vertex id", no) from None
-    return build_pattern(quads)
+    _, body = _document(text, "quadpattern F")
+    return build_pattern(
+        _row(no, toks, (int,) * 4, "4 vertex ids") for no, toks in body
+    )
 
 
 def write_pattern(p):
@@ -131,31 +131,13 @@ def write_pattern(p):
 
 def parse_coords(text):
     """Parse a coords document -> dict of vertex id to (x, y, z)."""
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError("empty document")
-    no, head = lines[0]
-    if len(head) != 2 or head[0] != "coords":
-        raise ParseError("expected header 'coords N'", no)
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise ParseError("expected header 'coords N'", no) from None
-    body = lines[1:]
-    if len(body) != n:
-        raise ParseError(f"expected {n} rows, found {len(body)}")
+    _, body = _document(text, "coords N")
     out = {}
     for no, toks in body:
-        if len(toks) != 4:
-            raise ParseError("expected 'id x y z'", no)
-        try:
-            vid = int(toks[0])
-            xyz = tuple(float(t) for t in toks[1:])
-        except ValueError:
-            raise ParseError("bad value", no) from None
+        vid, *xyz = _row(no, toks, (int, float, float, float), "'id x y z'")
         if vid in out:
             raise ParseError(f"vertex {vid} listed twice", no)
-        out[vid] = xyz
+        out[vid] = tuple(xyz)
     return out
 
 
@@ -168,28 +150,11 @@ def write_coords(mapping):
 
 def parse_witness(text):
     """Parse a witness document -> tuple of Placements."""
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError("empty document")
-    no, head = lines[0]
-    if len(head) != 2 or head[0] != "witness":
-        raise ParseError("expected header 'witness N'", no)
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise ParseError("expected header 'witness N'", no) from None
-    body = lines[1:]
-    if len(body) != n:
-        raise ParseError(f"expected {n} placements, found {len(body)}")
-    out = []
-    for no, toks in body:
-        if len(toks) != 1:
-            raise ParseError("expected one placement token per line", no)
-        try:
-            out.append(Placement.from_token(toks[0]))
-        except ValueError:
-            raise ParseError(f"bad placement token {toks[0]!r}", no) from None
-    return tuple(out)
+    _, body = _document(text, "witness N")
+    return tuple(
+        _row(no, toks, (Placement.from_token,), "one placement token")[0]
+        for no, toks in body
+    )
 
 
 def write_witness(witness):
@@ -276,6 +241,8 @@ def parse_vtk(text):
         raise ParseError("truncated VTK document") from None
     except ValueError as err:
         raise ParseError(f"bad VTK token: {err}") from None
+    if not all(math.isfinite(x) for row in coords for x in row):
+        raise ParseError("non-finite VTK point coordinate")
     return build_complex(hexes, nv), coords
 
 

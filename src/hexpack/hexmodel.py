@@ -381,9 +381,14 @@ def classify_vertices(c):
     return boundary, interior
 
 
+def parity_word(n):
+    """'odd' or 'even' according to a hex count."""
+    return "odd" if n % 2 else "even"
+
+
 def hex_parity(c):
     """'odd' or 'even' according to the number of hexes."""
-    return "odd" if len(c.hexes) % 2 else "even"
+    return parity_word(len(c.hexes))
 
 
 # Lattice positions used by subdivide_hex: each point of the 3x3x3 grid
@@ -409,6 +414,34 @@ def _build_lattice():
 _LATTICE = _build_lattice()
 
 
+class _Minter:
+    """Ids, and with coords positions, of the points a subdivision adds.
+
+    mint(key, support) returns the id of the point named key: the next
+    id from vertex_count on, at the key's first use.  When the old
+    vertices' (x, y, z) rows are given, coords lists every vertex's
+    position, a new point at the centroid of its support vertices.
+    count is the vertex count so far.
+    """
+
+    def __init__(self, vertex_count, coords):
+        self.count = vertex_count
+        self.ids = {}
+        self.coords = None
+        if coords is not None:
+            self.coords = [tuple(map(float, coords[v])) for v in range(vertex_count)]
+
+    def __call__(self, key, support):
+        v = self.ids.get(key)
+        if v is None:
+            v = self.ids[key] = self.count
+            self.count += 1
+            if self.coords is not None:
+                pts = [self.coords[s] for s in support]
+                self.coords.append(tuple(sum(x) / len(pts) for x in zip(*pts)))
+        return v
+
+
 def subdivide_hex(c, coords=None):
     """Split every hex into 8 via edge midpoints, face and body centers.
 
@@ -418,11 +451,7 @@ def subdivide_hex(c, coords=None):
     returns HexComplex, or (HexComplex, list of coords) when coords is
     given.
     """
-    ids = {}
-    new_coords = []
-    if coords is not None:
-        new_coords = [tuple(map(float, coords[v])) for v in range(c.vertex_count)]
-    nxt = c.vertex_count
+    mint = _Minter(c.vertex_count, coords)
     new_hexes = []
     for hi, corners in enumerate(c.hexes):
         local = {}
@@ -436,15 +465,7 @@ def subdivide_hex(c, coords=None):
                 key = ("f",) + face_key(hex_face_cycle(corners, face))
             else:
                 key = ("b", hi)
-            if key not in ids:
-                ids[key] = nxt
-                nxt += 1
-                if coords is not None:
-                    pts = [new_coords[corners[s]] for s in support]
-                    new_coords.append(
-                        tuple(sum(x) / len(pts) for x in zip(*pts))
-                    )
-            local[p] = ids[key]
+            local[p] = mint(key, [corners[s] for s in support])
         for octant in REF_CORNERS:
             new_hexes.append(
                 tuple(
@@ -458,10 +479,10 @@ def subdivide_hex(c, coords=None):
                     for rc in REF_CORNERS
                 )
             )
-    refined = build_complex(new_hexes, nxt)
+    refined = build_complex(new_hexes, mint.count)
     if coords is None:
         return refined
-    return refined, new_coords
+    return refined, mint.coords
 
 
 # For tet corner v the remaining corners in the order (a, b, c) that makes
@@ -517,36 +538,21 @@ def subdivide_tet(tets, vertex_count=None, coords=None):
     elif max_id >= vertex_count:
         raise NonConformingInput(f"vertex id {max_id} outside 0..{vertex_count - 1}")
 
-    ids = {}
-    new_coords = []
-    if coords is not None:
-        new_coords = [tuple(map(float, coords[v])) for v in range(vertex_count)]
-    nxt = vertex_count
-
-    def vid(key, support):
-        nonlocal nxt
-        if key not in ids:
-            ids[key] = nxt
-            nxt += 1
-            if coords is not None:
-                pts = [new_coords[s] for s in support]
-                new_coords.append(tuple(sum(x) / len(pts) for x in zip(*pts)))
-        return ids[key]
-
+    mint = _Minter(vertex_count, coords)
     hexes = []
     for ti, t in enumerate(tets):
-        body = vid(("b", ti), t)
+        body = mint(("b", ti), t)
         for v in range(4):
             a, b, cc = (t[i] for i in _TET_REST[v])
             o = t[v]
-            m_va = vid(("e",) + tuple(sorted((o, a))), (o, a))
-            m_vb = vid(("e",) + tuple(sorted((o, b))), (o, b))
-            m_vc = vid(("e",) + tuple(sorted((o, cc))), (o, cc))
-            f_vab = vid(("f",) + tuple(sorted((o, a, b))), (o, a, b))
-            f_vac = vid(("f",) + tuple(sorted((o, a, cc))), (o, a, cc))
-            f_vbc = vid(("f",) + tuple(sorted((o, b, cc))), (o, b, cc))
+            m_va = mint(("e",) + tuple(sorted((o, a))), (o, a))
+            m_vb = mint(("e",) + tuple(sorted((o, b))), (o, b))
+            m_vc = mint(("e",) + tuple(sorted((o, cc))), (o, cc))
+            f_vab = mint(("f",) + tuple(sorted((o, a, b))), (o, a, b))
+            f_vac = mint(("f",) + tuple(sorted((o, a, cc))), (o, a, cc))
+            f_vbc = mint(("f",) + tuple(sorted((o, b, cc))), (o, b, cc))
             hexes.append((o, m_va, f_vab, m_vb, m_vc, f_vac, body, f_vbc))
-    refined = build_complex(hexes, nxt)
+    refined = build_complex(hexes, mint.count)
     if coords is None:
         return refined
-    return refined, new_coords
+    return refined, mint.coords

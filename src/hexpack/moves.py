@@ -347,15 +347,14 @@ def _reject(counters, reason):
 def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     """Glue new_hex onto the packing: (complex, boundary pattern) or None.
 
-    This is the one definition of a legal move.  targets maps each glued
-    face of new_hex to the index of the pattern quad it covers, and each
-    face's cycle is a rotation of its quad.  The quads are distinct
-    because new_hex has 8 distinct corners, as _realize's identification
-    check makes sure: two cube faces share at most two corners, so two
-    faces on one quad would put two corners on one vertex.  The packing
-    must be conforming and pattern must be its boundary.  Corners off
-    the glued faces get new ids in a move; in a grow order they keep the
-    ids of the complex being certified.
+    This is the one definition of a legal move, and _realize its one
+    caller.  targets maps each glued face of new_hex to the index of the
+    pattern quad it covers, and each face's cycle is a rotation of its
+    quad.  The quads are distinct because new_hex has 8 distinct
+    corners, as _realize's identification check makes sure: two cube
+    faces share at most two corners, so two faces on one quad would put
+    two corners on one vertex.  The packing must be conforming and
+    pattern must be its boundary.
 
     Only what the new hex changes is looked at: its faces against the
     packing's face index, and its 12 edges and 8 corners against the
@@ -425,14 +424,18 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
 
 
 def _realize(packing, pattern, cfg, seeds, rotation, *, sphere_mode,
-             counters=None):
+             counters=None, ids=None):
     """Validate one candidate attachment and build it: a MoveResult
     without a code, or None when it is not a legal move.
 
-    The seeds fix the new hex's corners on the surface (propagate) and
-    must put them on distinct vertices (identification); every other
-    rule is glue_hex's.  counters, when given, counts the rejection
-    under its reason (one of REJECT_REASONS).
+    This is the one path from a seeding to a placement: search, witness
+    replay and grow orders all reach glue_hex through it.  The seeds fix
+    the new hex's corners on the surface (propagate) and must put them
+    on distinct vertices (identification); every other rule is
+    glue_hex's.  Corners off the glued faces get new ids, or ids[c]
+    when ids is given (a grow order keeps the ids of the complex it
+    certifies).  counters, when given, counts the rejection under its
+    reason (one of REJECT_REASONS).
     """
     res = _propagate(pattern, cfg.faces, seeds)
     if res is None:
@@ -447,7 +450,7 @@ def _realize(packing, pattern, cfg, seeds, rotation, *, sphere_mode,
     for c in range(8):
         v = m.get(c)
         if v is None:
-            v = nxt
+            v = nxt if ids is None else ids[c]
             nxt += 1
         new_hex.append(v)
     grown = glue_hex(

@@ -25,20 +25,19 @@ from .hexmodel import (
     HexComplex,
     check_conformity,
     extract_boundary,
-    face_key,
-    hex_face_cycle,
     hex_parity,
+    parity_word,
 )
 from .moves import (
     REJECT_REASONS,
     Placement,
+    _realize,
     apply_move,
     config_components,
     config_for_subset,
     encode_rotation,
     enumerate_moves,
     glue_configs,
-    glue_hex,
     initial_packing,
 )
 from .surface import CodeMemo, canonical_code, code_quad_count
@@ -50,21 +49,31 @@ MANIFEST_NAME = "manifest.json"
 
 _NO_ORDER = "no grow order under the move rules"
 
+_CONFIG_IDS = tuple(cfg.id for cfg in glue_configs())
+
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Knobs of the layered search."""
+    """Knobs of the layered search.
+
+    allowed_configs is a nonempty set of glue config ids (see
+    moves.glue_configs); anything else raises ValueError.
+    """
 
     sphere_mode: bool = True
     reflection_invariant: bool = True
-    allowed_configs: tuple = tuple(cfg.id for cfg in glue_configs())
+    allowed_configs: tuple = _CONFIG_IDS
     checkpoint_dir: str = None
 
     def __post_init__(self):
+        ids = set(self.allowed_configs)
+        if not ids or not ids.issubset(_CONFIG_IDS):
+            raise ValueError(
+                f"allowed_configs {tuple(self.allowed_configs)!r} is not a "
+                f"nonempty set of config ids {_CONFIG_IDS[0]}..{_CONFIG_IDS[-1]}"
+            )
         # a set of config ids: one order, no repeats
-        object.__setattr__(
-            self, "allowed_configs", tuple(sorted(set(self.allowed_configs)))
-        )
+        object.__setattr__(self, "allowed_configs", tuple(sorted(ids)))
 
 
 @dataclass
@@ -192,10 +201,6 @@ class GrowOrderResult:
     reason: str = None
 
 
-def _parity_word(n):
-    return "odd" if n % 2 else "even"
-
-
 def _replay(witness):
     """(packing, boundary pattern) rebuilt from the single-hex start.
 
@@ -302,7 +307,7 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
         layer = ledger.layer
         if target in ledger.records:  # a record always holds a slot
             break
-        parity = _parity_word(layer)
+        parity = parity_word(layer)
         frontier = [
             (code, rec)
             for code, rec in sorted(ledger.records.items())
@@ -328,7 +333,7 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
             ledger.stats.moves_valid += len(plist)
         ledger.stats.states_expanded += len(work)
 
-        next_parity = _parity_word(layer + 1)
+        next_parity = parity_word(layer + 1)
         proposals.sort(key=lambda t: (t[0], t[1], t[2].sort_key()))
         for succ_code, pred_code, placement in proposals:
             rec = ledger.records.get(succ_code)
@@ -429,13 +434,15 @@ def find_grow_order(c, options=None):
 
     A complex whose interior face count no n - 1 allowed glues can
     cover is refused at once, with nodes 0.  Otherwise this backtracks
-    over prefixes, memoizing failed hex sets.  Each hex is
-    glued turned to its config's representative, as a move places it, so
-    the glue yields its placement and the prefix's boundary keeps the
-    quad order a replay of the witness has.  The finished witness is
-    replayed once and must rebuild c hex for hex.  Returns
-    GrowOrderResult with found=False and a reason when no order exists
-    under the configured move rules.
+    over prefixes, memoizing failed hex sets.  A hex's glued faces are
+    those across which c holds a hex of the prefix.  Each hex is turned
+    to its config's representative and takes the move pipeline, as a
+    move does: each face component is seeded on the quad its first face
+    runs along, and _realize glues it with c's vertex ids and yields its
+    placement, so the prefix's boundary keeps the quad order a replay of
+    the witness has.  The finished witness is replayed once and must
+    rebuild c hex for hex.  Returns GrowOrderResult with found=False and
+    a reason when no order exists under the configured move rules.
     """
     if options is None:
         options = SearchOptions()
@@ -450,17 +457,21 @@ def find_grow_order(c, options=None):
     # faces, and every interior face is glued exactly once
     sizes = [cfg.size for cfg in glue_configs() if cfg.id in allowed]
     interior = report.face_incidence.get(2, 0)
-    if n > 1 and not (
-        sizes and min(sizes) * (n - 1) <= interior <= max(sizes) * (n - 1)
-    ):
+    if not min(sizes) * (n - 1) <= interior <= max(sizes) * (n - 1):
         return GrowOrderResult(False, None, None, 0, _NO_ORDER)
 
-    hex_keys = [
-        tuple(face_key(c.hex_face(hi, f)) for f in range(6)) for hi in range(n)
-    ]
+    # across[h][f]: the hex on the other side of face f of hex h; a face
+    # of a conforming complex belongs to at most two hexes
+    across = [[None] * 6 for _ in range(n)]
+    for inc in c.face_index.values():
+        if len(inc) == 2:
+            (h1, f1), (h2, f2) = inc
+            across[h1][f1], across[h2][f2] = h2, h1
     failed = set()
     nodes = 0
-    state = None  # (complex, boundary pattern) of the prefix being extended
+    # (complex, boundary pattern) of the prefix being extended, or
+    # (None, None) when it is to be built from placed
+    state = None
     placed = []  # the prefix's hexes, turned as they were glued
     witness = []  # the prefix's placements
 
@@ -476,43 +487,36 @@ def find_grow_order(c, options=None):
         for h in range(n):
             if h in chosen:
                 continue
-            glued = tuple(
-                f for f in range(6) if pattern.quads_with_key(hex_keys[h][f])
-            )
+            glued = tuple(f for f in range(6) if across[h][f] in chosen)
             if 1 <= len(glued) <= 5:
                 cands.append((-len(glued), h, glued))
         for _, h, glued in sorted(cands):
             cfg, sigma = config_for_subset(glued)
             if cfg.id not in allowed:
                 continue
-            if sub is None:  # backtracked: rebuild this prefix's state
+            if sub is None:  # a new or backtracked prefix: build its state
                 sub = HexComplex(c.vertex_count, tuple(placed))
                 pattern = extract_boundary(sub)
             corners = tuple(c.hexes[h][s] for s in sigma)
-            targets = {
-                f: pattern.quads_with_key(
-                    face_key(hex_face_cycle(corners, f))
-                )[0]
-                for f in cfg.faces
-            }
-            state = glue_hex(
-                sub, pattern, corners, targets, sphere_mode=options.sphere_mode
+            # a glued face runs along its quad in the same direction, so
+            # the first edge of each component's first face finds its
+            # quad and seed rotation
+            seeds = []
+            for f0, *_ in config_components(cfg):
+                a, b = HEX_FACES[f0][:2]
+                seeds.append((f0, *pattern.directed_edges[corners[a], corners[b]]))
+            move = _realize(
+                sub, pattern, cfg, seeds, encode_rotation(r for *_, r in seeds),
+                sphere_mode=options.sphere_mode, ids=corners,
             )
-            if state is None:
+            if move is None:
                 continue
-            # each component's seed rotation: where the first corner of
-            # its first face sits in the quad that face covers
-            rotation = encode_rotation([
-                pattern.quads[targets[f0]].index(corners[HEX_FACES[f0][0]])
-                for f0, *_ in config_components(cfg)
-            ])
+            state = (move.complex, move.pattern)
             placed.append(corners)
-            witness.append(
-                Placement(cfg.id, tuple(targets[f] for f in cfg.faces), rotation)
-            )
+            witness.append(move.placement)
             # hold no prefix state while deeper levels run, or memory
             # grows with the square of the hex count
-            sub = pattern = None
+            sub = pattern = move = None
             res = extend(prefix + (h,), chosen | {h})
             if res is not None:
                 return res
@@ -524,8 +528,7 @@ def find_grow_order(c, options=None):
     order = None
     for h0 in range(n):
         placed[:] = [c.hexes[h0]]
-        first = HexComplex(c.vertex_count, tuple(placed))
-        state = (first, extract_boundary(first))
+        state = (None, None)
         order = extend((h0,), frozenset((h0,)))
         if order is not None:
             break
@@ -691,7 +694,7 @@ def load_checkpoint(directory):
                 raise CheckpointCorrupt(
                     f"{name}:{lineno}: bad code or count"
                 ) from None
-            if parity not in ("odd", "even") or _parity_word(count) != parity:
+            if parity not in ("odd", "even") or parity_word(count) != parity:
                 raise CheckpointCorrupt(
                     f"{name}:{lineno}: parity does not match count"
                 )

@@ -69,17 +69,6 @@ class SurfacePattern:
                 out[(q[i], q[(i + 1) % 4])] = (qi, i)
         return out
 
-    @cached_property
-    def _by_key(self):
-        out = {}
-        for qi, q in enumerate(self.quads):
-            out.setdefault(face_key(q), []).append(qi)
-        return out
-
-    def quads_with_key(self, key):
-        """Indices of quads whose undirected key equals the given key."""
-        return tuple(self._by_key.get(key, ()))
-
     @property
     def quad_count(self):
         return len(self.quads)

@@ -93,7 +93,8 @@ def test_criterion_2_parity_template_pair(capsys):
         b_even = extract_boundary(even)
         assert len(b_odd.quads) == len(b_even.quads) == 34
         assert canonical_code(b_odd) == canonical_code(b_even)
-        assert verify_template(odd, even)
+        report = verify_template(odd, even)
+        assert report.codes_equal and report.parity_changing
 
 
 def test_criterion_3_small_pattern_regression(capsys):

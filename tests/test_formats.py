@@ -78,6 +78,8 @@ def test_bundled_fixtures_parse_and_normalize():
         ("hexmesh 8 1\n0 1 2 3 4 5 6\n", 2),
         ("hexmesh 8 1\n0 1 2 3 4 5 six 7\n", 2),
         ("hexmesh 8 2\n0 1 2 3 4 5 6 7\n", None),  # wrong line count
+        ("hexmesh 1 0\n0 nan 0\n", 2),
+        ("hexmesh 1 0\n# a comment\n0 0 -inf\n", 3),
     ],
 )
 def test_mesh_parse_errors_carry_line_numbers(doc, lineno):
@@ -104,6 +106,7 @@ def test_pattern_document_round_trip(cube):
         "quadpattern 1\n0 1 2\n",
         "quadpattern 2\n0 1 2 3\n",
         "witness 1\n0 1 2 3\n",
+        "quadpattern 1\n0 1 2 nan\n",
     ],
 )
 def test_pattern_parse_errors(doc):
@@ -129,6 +132,10 @@ def test_coords_parse_errors():
     with pytest.raises(ParseError) as err:
         parse_coords("coords 2\n0 1 2 3\n0 4 5 6\n")
     assert "twice" in str(err.value)
+    for doc in ("coords 1\n0 inf nan 1\n", "coords 1\n0 1 2 1e999\n"):
+        with pytest.raises(ParseError) as err:
+            parse_coords(doc)
+        assert err.value.line == 2
     with pytest.raises(ValueError):
         write_coords({0: (float("inf"), 0.0, 0.0)})
 
@@ -180,6 +187,7 @@ def test_vtk_round_trip_on_bundled_mesh():
         lambda t: t.replace("CELL_TYPES 1\n12", "CELL_TYPES 1\n10"),
         lambda t: t.replace("8 0 1 2 3 4 5 6 7", "4 0 1 2 3"),
         lambda t: t[: t.index("CELLS")],
+        lambda t: t.replace("POINTS 8 double\n0.0", "POINTS 8 double\nnan"),
     ],
 )
 def test_vtk_parse_errors(cube, cube_coords, mangle):

@@ -11,7 +11,6 @@ from hexpack.hexmodel import (
     HexComplex,
     check_conformity,
     extract_boundary,
-    face_key,
     hex_parity,
     oriented_key,
 )
@@ -328,15 +327,16 @@ def whole_complex_rule(packing, pattern, cfg, seeds, sphere_mode):
     tvals = set(targets.values())
     if len(set(m.values())) != len(m) or len(tvals) != len(targets):
         return None
+    by_oriented = {}
+    for qi, q in enumerate(pattern.quads):
+        by_oriented.setdefault(oriented_key(q), []).append(qi)
     for g in range(6):
         gc = HEX_FACES[g]
         if g in targets or not all(c in m for c in gc):
             continue
         img = tuple(m[c] for c in gc)
-        for qi in pattern.quads_with_key(face_key(img)):
-            q = pattern.quads[qi]
-            if qi not in tvals and oriented_key(q) == oriented_key(img):
-                return None
+        if any(qi not in tvals for qi in by_oriented.get(oriented_key(img), ())):
+            return None
     new_hex = []
     nxt = packing.vertex_count
     for c in range(8):

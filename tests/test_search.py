@@ -200,6 +200,13 @@ def test_checkpoint_with_reordered_configs_resumes(tmp_path):
     assert resumed.stats == fresh.stats
 
 
+@pytest.mark.parametrize("configs", [(9,), (), (0, 1)])
+def test_search_options_refuse_unknown_or_no_configs(configs):
+    # such a search would try no move and still report its start state
+    with pytest.raises(ValueError):
+        SearchOptions(allowed_configs=configs)
+
+
 def test_checkpoint_rejects_version_and_garbage(tmp_path):
     import json
 
@@ -208,6 +215,16 @@ def test_checkpoint_rejects_version_and_garbage(tmp_path):
     manifest_path = os.path.join(d, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    configs = manifest["options"]["allowed_configs"]
+    manifest["options"]["allowed_configs"] = [9]  # no such glue config
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(CheckpointCorrupt):
+        load_checkpoint(d)
+    with pytest.raises(CheckpointCorrupt):
+        build_ledger(3, SearchOptions(checkpoint_dir=d))
+
+    manifest["options"]["allowed_configs"] = configs
     manifest["format_version"] = 99
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
@@ -384,13 +401,13 @@ def test_grow_order_respects_sphere_mode():
 def test_grow_order_respects_config_restrictions(odd17, pyramid):
     # single-face gluing alone cannot rebuild a mesh that needs wrapping.
     # Every interior face is glued once, by one of n - 1 glues, so too
-    # many interior faces (34 against 16 or 32; 100 against 35), or no
-    # allowed config at all, refuse before any backtracking.
+    # many interior faces (34 against 16 or 32; 100 against 35) refuse
+    # before any backtracking.  No allowed config at all is refused by
+    # SearchOptions itself.
     for c, configs in (
         (odd17, (1,)),
         (odd17, (1, 2)),
         (pyramid[0], (1,)),
-        (odd17, ()),
     ):
         res = find_grow_order(c, SearchOptions(allowed_configs=configs))
         assert not res.found
