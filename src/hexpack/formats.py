@@ -166,9 +166,10 @@ def write_witness(witness):
 def _require_coords(coords, needed, what):
     if coords is None:
         raise MissingCoordinates(f"{what} requires vertex coordinates")
-    missing = [v for v in needed if v >= len(coords)] if not isinstance(
-        coords, dict
-    ) else [v for v in needed if v not in coords]
+    if isinstance(coords, dict):
+        missing = [v for v in needed if v not in coords]
+    else:
+        missing = [v for v in needed if not 0 <= v < len(coords)]
     if missing:
         raise MissingCoordinates(
             f"no coordinates for vertices {missing[:8]}{'...' if len(missing) > 8 else ''}"

@@ -262,101 +262,71 @@ def check_conformity(c):
 def boundary_violations(quads):
     """Closed-orientable-manifold violations for a list of quad cycles.
 
-    Checks undirected edge incidence 2 with opposite directions, a single
-    disk of quads around every vertex, and connectivity.  Shared with the
-    surface pattern validator.
+    Every check runs on one flat half-edge numbering: half-edge
+    h = 4*qi + i runs from quads[qi][i] to the next corner of quad qi.
+    Quads that are not 4-cycles are reported alone.  Otherwise each
+    undirected edge not traversed once each way is reported under the
+    direction seen first; when every edge passes, each vertex whose
+    quads form more than one disk follows by id, then Disconnected.
+    Shared with the surface pattern validator.
     """
-    violations = []
-    for qi, q in enumerate(quads):
-        if len(q) != 4 or len(set(q)) != 4:
-            violations.append(
-                Violation("DegenerateQuad", f"quad {qi} = {q} is not a 4-cycle", (qi,))
-            )
+    violations = [
+        Violation("DegenerateQuad", f"quad {qi} = {q} is not a 4-cycle", (qi,))
+        for qi, q in enumerate(quads)
+        if len(q) != 4 or len(set(q)) != 4
+    ]
     if violations:
         return violations
 
-    directed = {}
-    for qi, q in enumerate(quads):
-        for i in range(4):
-            e = (q[i], q[(i + 1) % 4])
-            directed.setdefault(e, []).append((qi, i))
-
-    edges_ok = True
-    reported = set()
-    for (u, v), occ in directed.items():
-        if (v, u) in reported or (u, v) in reported:
-            continue
-        rev = directed.get((v, u), [])
-        if len(occ) + len(rev) != 2:
-            violations.append(
-                Violation(
-                    "NonManifoldEdge",
-                    f"edge ({u},{v}) lies in {len(occ) + len(rev)} quads",
-                    (u, v),
-                )
-            )
-            edges_ok = False
-        elif len(occ) == 2:
-            violations.append(
-                Violation(
-                    "InconsistentOrientation",
-                    f"edge ({u},{v}) is traversed twice in the same direction",
-                    (u, v),
-                )
-            )
-            edges_ok = False
-        reported.add((u, v))
-        reported.add((v, u))
-    if not edges_ok or not quads:
+    tail = [v for q in quads for v in q]
+    head = tail[1:] + tail[:1]
+    head[3::4] = tail[::4]
+    half = {}  # directed edge -> its half-edges, in increasing order
+    for h, e in enumerate(zip(tail, head)):
+        half.setdefault(e, []).append(h)
+    for (u, v), hs in half.items():
+        rev = half.get((v, u), ())
+        if rev and rev[0] < hs[0]:
+            continue  # reported under (v, u)
+        n = len(hs) + len(rev)
+        if n != 2:
+            what = f"edge ({u},{v}) lies in {n} quads"
+            violations.append(Violation("NonManifoldEdge", what, (u, v)))
+        elif len(hs) == 2:
+            what = f"edge ({u},{v}) is traversed twice in the same direction"
+            violations.append(Violation("InconsistentOrientation", what, (u, v)))
+    if violations or not quads:
         return violations
 
-    # Now every directed edge occurs exactly once; umbrella and
-    # connectivity walks below rely on that.
-    edge_quad = {e: occ[0] for e, occ in directed.items()}
-
-    incident = {}
-    for qi, q in enumerate(quads):
-        for i, v in enumerate(q):
-            incident.setdefault(v, []).append((qi, i))
-    for v, occ in sorted(incident.items()):
-        qi, i = occ[0]
-        count = 0
-        start = (qi, i)
-        while True:
-            count += 1
-            q = quads[qi]
-            nxt = q[(i + 1) % 4]
-            qi, j = edge_quad[(nxt, v)]
-            i = quads[qi].index(v)
-            if (qi, i) == start or count > len(occ):
-                break
-        if count != len(occ):
-            violations.append(
-                Violation(
-                    "PinchedVertex",
-                    f"vertex {v} has {len(occ)} incident quads in more than one disk",
-                    (v,),
-                )
-            )
+    # Every directed edge now occurs once, so opp[h] is h's reverse, and
+    # h -> opp[prev(h)] turns about tail[h]: its cycles are the disks.
+    opp = [half[e][0] for e in zip(head, tail)]
+    disks = {}
+    done = [False] * len(tail)
+    for h, v in enumerate(tail):
+        if not done[h]:
+            disks[v] = disks.get(v, 0) + 1
+            g = h
+            while not done[g]:
+                done[g] = True
+                g = opp[g - 1 if g & 3 else g + 3]
+    for v in sorted(v for v in disks if disks[v] > 1):
+        n = tail.count(v)
+        what = f"vertex {v} has {n} incident quads in more than one disk"
+        violations.append(Violation("PinchedVertex", what, (v,)))
 
     seen = {0}
     stack = [0]
     while stack:
         qi = stack.pop()
-        q = quads[qi]
-        for i in range(4):
-            nq, _ = edge_quad[(q[(i + 1) % 4], q[i])]
-            if nq not in seen:
-                seen.add(nq)
-                stack.append(nq)
+        for h in opp[4 * qi : 4 * qi + 4]:
+            if h >> 2 not in seen:
+                seen.add(h >> 2)
+                stack.append(h >> 2)
     if len(seen) != len(quads):
-        violations.append(
-            Violation(
-                "Disconnected",
-                f"boundary has more than one component ({len(seen)} of {len(quads)} quads reached)",
-                (),
-            )
-        )
+        reached = f"{len(seen)} of {len(quads)} quads reached"
+        what = f"boundary has more than one component ({reached})"
+        violations.append(Violation("Disconnected", what, ()))
     return violations
 
 

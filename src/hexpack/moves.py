@@ -27,7 +27,7 @@ from .hexmodel import (
     face_key,
     hex_face_cycle,
 )
-from .surface import CodeMemo, SurfacePattern, euler_characteristic
+from .surface import CodeMemo, SurfacePattern
 
 # Why _realize turned a candidate down, in the order it checks; each is
 # a key of the counters dict that enumerate_moves fills.
@@ -370,6 +370,7 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     for f in targets:
         mask |= 1 << f
     at_corner, edges, unglued, splits = _glue_table(mask)
+    quads = pattern.quads
     degree = pattern.degree
     directed = pattern.directed_edges
     if sphere_mode:
@@ -386,10 +387,9 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
             d = degree.get(new_hex[c], 0)
             j = at_corner[c]
             dv += (j < 3 or d > j) - (d > 0)
-        if euler_characteristic(pattern) + dv - (6 - 2 * len(targets)) != 2:
+        if len(degree) - len(quads) + dv - (6 - 2 * len(targets)) != 2:
             return _reject(counters, "euler")
 
-    quads = pattern.quads
     index = packing.face_index
     nv = packing.vertex_count
     if len(targets) > 1:

@@ -634,6 +634,8 @@ def load_checkpoint(directory):
         raise CheckpointCorrupt(f"no manifest in {directory}") from None
     except json.JSONDecodeError as err:
         raise CheckpointCorrupt(f"manifest is not valid JSON: {err}") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointCorrupt("manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise VersionMismatch(
             f"checkpoint format {manifest.get('format_version')!r}, "
@@ -671,12 +673,14 @@ def load_checkpoint(directory):
         )
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise CheckpointCorrupt(f"bad manifest: {err}") from None
-    if len(files) != layer:
+    # the files save_checkpoint names for layers 1..layer, and no others
+    names = [_layer_file(n) for n in range(1, len(files) + 1)]
+    if len(files) != layer or files != names:
         raise CheckpointCorrupt(
-            f"manifest lists {len(files)} layer files for layer {layer}"
+            f"manifest lists layer files {files!r} for layer {layer}"
         )
     records = {}
-    for n, name in enumerate(files, start=1):
+    for n, name in enumerate(names, start=1):
         try:
             with open(os.path.join(directory, name)) as fh:
                 text = fh.read()

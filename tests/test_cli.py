@@ -148,6 +148,20 @@ def test_search_refuses_pruned_checkpoint_for_other_budget(capsys, tmp_path):
     assert rc == 2
 
 
+def test_search_refuses_a_checkpoint_with_a_malformed_manifest(capsys, tmp_path):
+    ck = tmp_path / "ck"
+    args = ("search", "--target", "builtin:cube", "--max-hexes", "2")
+    rc, _, _ = run(capsys, *args, "--checkpoint", str(ck))
+    assert rc == 0
+    manifest = json.loads((ck / "manifest.json").read_text())
+    manifest["files"] = [1]
+    for text in (json.dumps(manifest), "[]"):
+        (ck / "manifest.json").write_text(text)
+        rc, _, err = run(capsys, *args, "--checkpoint", str(ck))
+        assert rc == 2
+        assert "manifest" in err
+
+
 def test_search_rejects_bad_config_lists(capsys):
     for bad in ("0", "1,9", "x", ""):
         rc, _, _ = run(

@@ -19,7 +19,7 @@ from hexpack.formats import (
 )
 from hexpack.hexmodel import extract_boundary
 from hexpack.moves import Placement
-from hexpack.surface import canonical_code
+from hexpack.surface import SurfacePattern, canonical_code
 
 CUBE_DOC = """\
 # a single unit cell, coordinates first
@@ -227,3 +227,9 @@ def test_exports_demand_coordinates(cube, cube_coords):
         export_vtk(cube, cube_coords[:5])
     with pytest.raises(MissingCoordinates):
         write_mesh(cube, cube_coords[:5])
+    # a sequence has no coordinates for -1, though coords[-1] would index
+    shifted = SurfacePattern(
+        [tuple(v - 1 for v in q) for q in extract_boundary(cube).quads]
+    )
+    with pytest.raises(MissingCoordinates, match=r"\[-1\]"):
+        export_obj_surface(shifted, cube_coords)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,14 @@ from hexpack.errors import (
     NonConformingFace,
     NonConformingInput,
     SharedFaceCountExceeded,
+    Violation,
 )
 from hexpack.hexmodel import (
     HEX_EDGES,
     HEX_FACES,
     OPPOSITE_FACE,
     REF_CORNERS,
+    boundary_violations,
     build_complex,
     check_conformity,
     classify_vertices,
@@ -27,6 +31,8 @@ from hexpack.hexmodel import (
     subdivide_hex,
     subdivide_tet,
 )
+from hexpack.search import build_ledger, replay_witness
+from hexpack.surface import cube_pattern
 
 from conftest import grid_complex
 
@@ -220,3 +226,167 @@ def test_hex_face_matches_the_face_constants(cube):
     for f in range(6):
         assert cube.hex_face(0, f) == hex_face_cycle(cube.hexes[0], f)
         assert cube.hex_face(0, f) == HEX_FACES[f]
+
+
+def reference_boundary_violations(quads):
+    """Closed-orientable-manifold violations for a list of quad cycles.
+
+    The map-per-question definition boundary_violations was first written
+    as; the rewrite on one half-edge table must return the same lists.
+
+    Checks undirected edge incidence 2 with opposite directions, a single
+    disk of quads around every vertex, and connectivity.  Shared with the
+    surface pattern validator.
+    """
+    violations = []
+    for qi, q in enumerate(quads):
+        if len(q) != 4 or len(set(q)) != 4:
+            violations.append(
+                Violation("DegenerateQuad", f"quad {qi} = {q} is not a 4-cycle", (qi,))
+            )
+    if violations:
+        return violations
+
+    directed = {}
+    for qi, q in enumerate(quads):
+        for i in range(4):
+            e = (q[i], q[(i + 1) % 4])
+            directed.setdefault(e, []).append((qi, i))
+
+    edges_ok = True
+    reported = set()
+    for (u, v), occ in directed.items():
+        if (v, u) in reported or (u, v) in reported:
+            continue
+        rev = directed.get((v, u), [])
+        if len(occ) + len(rev) != 2:
+            violations.append(
+                Violation(
+                    "NonManifoldEdge",
+                    f"edge ({u},{v}) lies in {len(occ) + len(rev)} quads",
+                    (u, v),
+                )
+            )
+            edges_ok = False
+        elif len(occ) == 2:
+            violations.append(
+                Violation(
+                    "InconsistentOrientation",
+                    f"edge ({u},{v}) is traversed twice in the same direction",
+                    (u, v),
+                )
+            )
+            edges_ok = False
+        reported.add((u, v))
+        reported.add((v, u))
+    if not edges_ok or not quads:
+        return violations
+
+    # Now every directed edge occurs exactly once; umbrella and
+    # connectivity walks below rely on that.
+    edge_quad = {e: occ[0] for e, occ in directed.items()}
+
+    incident = {}
+    for qi, q in enumerate(quads):
+        for i, v in enumerate(q):
+            incident.setdefault(v, []).append((qi, i))
+    for v, occ in sorted(incident.items()):
+        qi, i = occ[0]
+        count = 0
+        start = (qi, i)
+        while True:
+            count += 1
+            q = quads[qi]
+            nxt = q[(i + 1) % 4]
+            qi, j = edge_quad[(nxt, v)]
+            i = quads[qi].index(v)
+            if (qi, i) == start or count > len(occ):
+                break
+        if count != len(occ):
+            violations.append(
+                Violation(
+                    "PinchedVertex",
+                    f"vertex {v} has {len(occ)} incident quads in more than one disk",
+                    (v,),
+                )
+            )
+
+    seen = {0}
+    stack = [0]
+    while stack:
+        qi = stack.pop()
+        q = quads[qi]
+        for i in range(4):
+            nq, _ = edge_quad[(q[(i + 1) % 4], q[i])]
+            if nq not in seen:
+                seen.add(nq)
+                stack.append(nq)
+    if len(seen) != len(quads):
+        violations.append(
+            Violation(
+                "Disconnected",
+                f"boundary has more than one component ({len(seen)} of {len(quads)} quads reached)",
+                (),
+            )
+        )
+    return violations
+
+
+
+def _mutations(quads, rnd):
+    """Seeded breakages of a closed surface, one per kind of damage."""
+    quads = list(quads)
+    n = len(quads)
+    j, k = rnd.sample(range(n), 2)
+    top = 1 + max(v for q in quads for v in q)
+    copy = [tuple(v + top for v in q) for q in quads]
+    quad = quads[j]
+    i = rnd.randrange(4)
+    a, b, c, d = rnd.sample(sorted({v for q in quads for v in q}), 4)
+    yield quads[:j] + quads[j + 1:]  # dropped
+    yield quads[:j] + [quad[::-1]] + quads[j + 1:]  # reversed
+    yield quads + [quad]  # duplicated
+    r = rnd.randrange(4)
+    yield quads[:j] + [quads[k][r:] + quads[k][:r]] + quads[j + 1:]  # onto another
+    yield quads + copy  # disjoint copy
+    pinch = {a + top: b, c + top: d}
+    yield quads + [tuple(pinch.get(v, v) for v in q) for q in copy]  # pinched twice
+    del pinch[c + top]
+    yield quads + [tuple(pinch.get(v, v) for v in q) for q in copy]  # pinched
+    collapsed = quad[:i] + (quad[(i + 1) % 4],) + quad[i + 1:]
+    yield quads[:j] + [collapsed] + quads[j + 1:]
+    yield [tuple(b if v == a else v for v in q) for q in quads]  # two vertices welded
+
+
+def test_boundary_violations_match_the_reference():
+    cube = list(cube_pattern().quads)
+    reversed_first = [cube[0][::-1]] + cube[1:]
+    shifted = [tuple(v + 8 for v in q) for q in cube]
+    weld = {v: v + 7 for v in range(8)}
+    weld[0] = 7
+    pinched = cube + [tuple(weld[v] for v in q) for q in cube]
+    inputs = [[], [(0, 1, 2, 3)], [(0, 1, 2)], reversed_first, cube + shifted, pinched]
+    ledger = build_ledger(5)
+    rnd = random.Random(4011)
+    for rec in ledger.records.values():
+        for parity in ("odd", "even"):
+            if rec.slot(parity) is None:
+                continue
+            quads = list(extract_boundary(replay_witness(rec.witness(parity))).quads)
+            rnd.shuffle(quads)
+            inputs.append(quads)
+            broken = list(_mutations(quads, rnd))
+            inputs.extend(broken)
+            inputs.extend(_mutations(rnd.choice(broken[:4]), rnd))
+    kinds = set()
+    for quads in inputs:
+        want = reference_boundary_violations(quads)
+        assert boundary_violations(quads) == want, quads
+        kinds.update(v.kind for v in want)
+    assert kinds == {
+        "DegenerateQuad",
+        "NonManifoldEdge",
+        "InconsistentOrientation",
+        "PinchedVertex",
+        "Disconnected",
+    }

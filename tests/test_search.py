@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 
 import pytest
 
@@ -232,10 +233,25 @@ def test_checkpoint_rejects_version_and_garbage(tmp_path):
         load_checkpoint(d)
 
     manifest["format_version"] = FORMAT_VERSION
+    files = manifest["files"]
+    shutil.copy(os.path.join(d, files[1]), os.path.join(d, "other.records"))
+    for bad in ([files[0], 2], [files[0], "other.records"]):
+        manifest["files"] = bad  # only layer_001.records, layer_002.records
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(CheckpointCorrupt):
+            load_checkpoint(d)
+
+    manifest["files"] = files
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
     with open(os.path.join(d, "layer_002.records"), "a") as fh:
         fh.write("zzzz odd\n")
+    with pytest.raises(CheckpointCorrupt):
+        load_checkpoint(d)
+
+    with open(manifest_path, "w") as fh:
+        fh.write("[]\n")  # valid JSON, not an object
     with pytest.raises(CheckpointCorrupt):
         load_checkpoint(d)
 
