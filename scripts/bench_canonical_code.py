@@ -15,6 +15,8 @@ suite it starts, to one CPU.  It reports:
   here);
 - ``full_codes_6``: the ``canonical_code`` calls ``build_ledger(6)``
   makes, through whichever module's binding;
+- ``memo_calls_6``: the ``CodeMemo.code`` calls ``build_ledger(6)``
+  makes;
 - ``codes``: every successor pattern ``build_ledger(6)`` realizes (each
   candidate ``enumerate_moves`` accepts, before deduplication), coded
   again with and without reflection (fresh ``SurfacePattern`` objects
@@ -47,7 +49,7 @@ def main(argv=None):
     sys.path[:0] = [str(root / "src"), str(root)]
     import hexpack.moves as moves
     from hexpack.search import build_ledger
-    from hexpack.surface import SurfacePattern, canonical_code
+    from hexpack.surface import CodeMemo, SurfacePattern, canonical_code
     from perfbench.workloads import CENSUS_SHA256, ledger_sha256
 
     timed = {}
@@ -61,6 +63,7 @@ def main(argv=None):
 
     coded = []
     full = [0]
+    memo_calls = [0]
     plain_realize = moves._realize
 
     def recording_realize(*args, **kwargs):
@@ -73,17 +76,25 @@ def main(argv=None):
         full[0] += 1
         return canonical_code(pattern, reflection_invariant)
 
+    plain_memo_code = CodeMemo.code
+
+    def counting_memo_code(self, pattern):
+        memo_calls[0] += 1
+        return plain_memo_code(self, pattern)
+
     bindings = [
         mod for name, mod in list(sys.modules.items())
         if name.startswith("hexpack") and getattr(mod, "canonical_code", None) is canonical_code
     ]
     moves._realize = recording_realize
+    CodeMemo.code = counting_memo_code
     for mod in bindings:
         mod.canonical_code = counting_code
     try:
         build_ledger(6)
     finally:
         moves._realize = plain_realize
+        CodeMemo.code = plain_memo_code
         for mod in bindings:
             mod.canonical_code = canonical_code
 
@@ -116,6 +127,7 @@ def main(argv=None):
         "build_ledger_6_s": round(timed[6], 2),
         "build_ledger_7_s": round(timed[7], 2),
         "full_codes_6": full[0],
+        "memo_calls_6": memo_calls[0],
         "codes": codes,
         "criterion_4_s": float(crit.group(1)) if crit else None,
         "suite_s": float(summary.group(2)) if summary else None,

@@ -55,7 +55,7 @@ def main(argv=None):
     )
     rec = ledger.records.get(target)
     best = rec.best() if rec is not None else None
-    if best is None:
+    if best is None or best[0] > args.max_hexes:  # a deeper checkpoint
         print(f"exhausted: no packing within {args.max_hexes} hexes")
         return EXIT_EXHAUSTED
 

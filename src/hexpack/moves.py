@@ -491,11 +491,14 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
     CodeMemo() when omitted), whose reflection mode decides whether
     mirror images share a code: only the first successor of each
     isomorphism class the memo meets is coded in full, so callers share
-    one memo across the states of a layer.  counters, if given, is a
-    dict whose "tried" entry is incremented per candidate seeding
-    examined; each rejected seeding also counts under its reason (see
-    REJECT_REASONS) and each successor coded, in full or through the
-    memo, under "codes".
+    one memo across the states of a layer.  Within one call the
+    candidates of a one-component config share one code per glued-quad
+    set: only the first of them asks the memo.  Each two-opposite
+    candidate asks it.  counters, if given, is a dict whose "tried"
+    entry is incremented per candidate seeding examined; each rejected
+    seeding also counts under its reason (see REJECT_REASONS) and each
+    successor coded, in full, through the memo or by its quad set,
+    under "codes".
     """
     if pattern is None:
         pattern = extract_boundary(packing)
@@ -503,10 +506,12 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
         memo = CodeMemo()
     nquads = len(pattern.quads)
     out = []
+    codes = {}  # successor codes of this state, by glued quads
     for cfg in _CONFIGS:
         if allowed is not None and cfg.id not in allowed:
             continue
-        if sphere_mode and len(_COMPONENTS[cfg.id]) > 1:
+        one_piece = len(_COMPONENTS[cfg.id]) == 1
+        if sphere_mode and not one_piece:
             # gluing two disjoint quads of one sphere always adds a handle
             continue
         for seeds, rot in _seed_choices(cfg, nquads):
@@ -519,7 +524,15 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
             if cand is None:
                 continue
             if dedup_by_successor:
-                code = memo.code(cand.pattern)
+                # A connected face set on given quads fixes the new hex up
+                # to a rotation of that face set, so the successors differ
+                # only in the ids of the new corners.  Two opposite faces
+                # can turn apart, so their seedings key by placement.
+                pl = cand.placement
+                key = (cfg.id, frozenset(pl.quads)) if one_piece else pl
+                code = codes.get(key)
+                if code is None:
+                    code = codes[key] = memo.code(cand.pattern)
                 cand = MoveResult(cand.placement, cand.complex, cand.pattern, code)
                 if counters is not None:
                     counters["codes"] = counters.get("codes", 0) + 1

@@ -83,8 +83,11 @@ class SearchStats:
     gets its successor code, so moves_tried equals codes_computed plus
     every rejected_* count; moves_valid counts the distinct successors
     each expansion proposed.  codes_computed counts a code per
-    candidate, although only the first successor of each isomorphism
-    class in a layer is coded in full (see surface.CodeMemo)."""
+    candidate, although a state's candidates of one config on one
+    glued-quad set share one memo lookup unless the config is
+    two-opposite (see moves.enumerate_moves), and only the first
+    successor of each isomorphism class in a layer is coded in full
+    (see surface.CodeMemo)."""
 
     states_expanded: int = 0
     moves_tried: int = 0
@@ -359,7 +362,8 @@ def search_min_packing(target, max_hexes, options=None):
 
     target may be a SurfacePattern or a code (bytes).  Returns a
     SearchResult; exhausted=True means max_hexes was reached without
-    finding the target.
+    finding the target.  Only slots up to max_hexes answer, also when a
+    checkpoint holds deeper layers, so a resume answers as a fresh run.
     """
     if options is None:
         options = SearchOptions()
@@ -369,7 +373,7 @@ def search_min_packing(target, max_hexes, options=None):
     ledger = build_ledger(max_hexes, options, target=target)
     rec = ledger.records.get(target)
     best = rec.best() if rec is not None else None
-    if best is None:
+    if best is None or best[0] > max_hexes:
         return SearchResult(False, None, None, True, ledger)
     return SearchResult(True, *best, False, ledger)
 
@@ -378,7 +382,8 @@ def find_templates(max_hexes, options=None):
     """Codes reached with both parities within max_hexes, with witnesses.
 
     Each emitted hit is verified by replaying both witnesses and
-    re-extracting the boundary codes.
+    re-extracting the boundary codes.  Slots beyond max_hexes, which a
+    deeper checkpoint holds, do not count.
     """
     if options is None:
         options = SearchOptions()
@@ -386,6 +391,8 @@ def find_templates(max_hexes, options=None):
     hits = []
     for code, rec in sorted(ledger.records.items()):
         if rec.min_odd is None or rec.min_even is None:
+            continue
+        if max(rec.min_odd, rec.min_even) > max_hexes:
             continue
         for parity in ("odd", "even"):
             why = _slot_mismatch(rec, parity, options.reflection_invariant)
@@ -673,9 +680,10 @@ def load_checkpoint(directory):
         )
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise CheckpointCorrupt(f"bad manifest: {err}") from None
-    # the files save_checkpoint names for layers 1..layer, and no others
+    # the files save_checkpoint names for layers 1..layer, and no others;
+    # every ledger holds layer 1, the start state
     names = [_layer_file(n) for n in range(1, len(files) + 1)]
-    if len(files) != layer or files != names:
+    if layer < 1 or len(files) != layer or files != names:
         raise CheckpointCorrupt(
             f"manifest lists layer files {files!r} for layer {layer}"
         )
@@ -731,6 +739,8 @@ def load_checkpoint(directory):
                     f"{name}:{lineno}: duplicate {parity} slot for {code_hex}"
                 )
             rec.set_slot(parity, count, witness)
+        if n == 1 and records != _fresh_ledger(options).records:
+            raise CheckpointCorrupt(f"{name} does not hold just the start state")
     ledger = SearchLedger(
         records=records,
         layer=layer,

@@ -141,6 +141,54 @@ def test_layer_memo_keeps_the_pairs_of_a_full_code_per_candidate(reflection):
             )
 
 
+def test_seedings_on_one_glued_quad_set_build_one_successor():
+    # enumerate_moves codes the candidates of a one-component config once
+    # per glued-quad set; two-opposite candidates need a code each.  The
+    # former take the finer plain code, so the premise holds in both
+    # reflection modes; the latter the default code, so that even with
+    # reflection their successors on one quad set can differ.
+    split = 0
+    for options in (SearchOptions(), SearchOptions(sphere_mode=False)):
+        depth = 5 if options.sphere_mode else 3
+        for rec in build_ledger(depth, options).records.values():
+            for parity in ("odd", "even"):
+                if rec.slot(parity) is None:
+                    continue
+                groups = {}
+                for m in enumerate_moves(
+                    replay_witness(rec.witness(parity)),
+                    sphere_mode=options.sphere_mode,
+                    dedup_by_successor=False,
+                ):
+                    pl = m.placement
+                    cfg = config_by_id(pl.config_id)
+                    one_piece = len(config_components(cfg)) == 1
+                    groups.setdefault(
+                        (one_piece, cfg.id, frozenset(pl.quads)), set()
+                    ).add(canonical_code(m.pattern, not one_piece))
+                for (one_piece, *_), codes in groups.items():
+                    if one_piece:
+                        assert len(codes) == 1
+                    else:
+                        split += len(codes) > 1
+    assert split > 0
+
+
+def test_a_state_asks_the_memo_once_per_glued_quad_set():
+    class CountingMemo(CodeMemo):
+        calls = 0
+
+        def code(self, p):
+            self.calls += 1
+            return super().code(p)
+
+    memo, counters = CountingMemo(), {}
+    kept = enumerate_moves(initial_packing(), counters=counters, memo=memo)
+    assert len(kept) == 1
+    assert counters["codes"] == 24  # every realized candidate is counted
+    assert memo.calls == 6  # one per quad of the cube, not per rotation
+
+
 def test_layer_three_pattern_census():
     start = initial_packing()
     second, _ = apply_move(start, enumerate_moves(start)[0].placement)

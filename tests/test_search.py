@@ -317,6 +317,52 @@ def test_checkpoint_rejects_a_witness_that_does_not_decode(tmp_path):
         load_checkpoint(d)
 
 
+def test_checkpoint_without_the_start_state_is_refused(tmp_path):
+    # a ledger with no start record expands nothing: resumed, it would
+    # call a 2-hex target out of reach
+    import json
+
+    d = str(tmp_path / "ck")
+    ledger = build_ledger(2, SearchOptions(checkpoint_dir=d))
+    two = next(c for c, rec in ledger.records.items() if rec.min_even == 2)
+    manifest_path = os.path.join(d, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    with open(manifest_path, "w") as fh:
+        json.dump(dict(manifest, layer=0, files=[]), fh)
+    with pytest.raises(CheckpointCorrupt):
+        load_checkpoint(d)
+    with pytest.raises(CheckpointCorrupt):
+        search_min_packing(two, 3, SearchOptions(checkpoint_dir=d))
+
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    load_checkpoint(d)
+    open(os.path.join(d, "layer_001.records"), "w").close()
+    with pytest.raises(CheckpointCorrupt, match="start state"):
+        load_checkpoint(d)
+
+
+def test_checkpoint_deeper_than_the_budget_answers_as_a_fresh_run(tmp_path):
+    d = str(tmp_path / "ck")
+    ledger = build_ledger(5, SearchOptions(checkpoint_dir=d))
+    five = next(c for c, rec in sorted(ledger.records.items()) if rec.best()[0] == 5)
+    resumed = search_min_packing(five, 3, SearchOptions(checkpoint_dir=d))
+    fresh = search_min_packing(five, 3)
+    assert (fresh.found, fresh.count, fresh.exhausted) == (False, None, True)
+    assert (resumed.found, resumed.count, resumed.exhausted) == (False, None, True)
+
+    # without sphere mode two states reach both parities within 4 hexes
+    d = str(tmp_path / "torus")
+    build_ledger(4, SearchOptions(sphere_mode=False, checkpoint_dir=d))
+    for budget in (3, 4):
+        resumed = find_templates(
+            budget, SearchOptions(sphere_mode=False, checkpoint_dir=d)
+        )
+        assert resumed == find_templates(budget, SearchOptions(sphere_mode=False))
+    assert len(resumed) == 2
+
+
 # Grow orders of the bundled meshes as the whole-complex move check found
 # them; the local check must pick the same order and witness.
 PINNED_GROW_ORDERS = (
