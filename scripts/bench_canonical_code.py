@@ -22,7 +22,15 @@ suite it starts, to one CPU.  It reports:
   again with and without reflection (fresh ``SurfacePattern`` objects
   each pass, best of three passes), with the per-call time and a digest
   of the codes;
-- ``criterion_4_s`` and ``suite_s``: acceptance criterion 4 and the whole
+- ``replay_6_s``: ``_replay`` of every slot of ``build_ledger(6)``, each
+  replayed boundary's code held to its record's (best of three passes);
+- ``grow_orders_s``: ``find_grow_order`` on the three bundled meshes and
+  their ``/8`` subdivisions, each witness replayed and its boundary
+  code held to the mesh's, as the certify-embed workload does (best of
+  three passes);
+- ``criterion_4_s``, ``local_move_false_s`` and ``suite_s``: acceptance
+  criterion 4, the ``[False]`` case of
+  ``test_local_move_check_matches_whole_complex_check`` and the whole
   tier-1 suite, from one ``pytest`` run in the checkout.
 """
 
@@ -47,8 +55,9 @@ def main(argv=None):
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     sys.path[:0] = [str(root / "src"), str(root)]
+    import hexpack as hp
     import hexpack.moves as moves
-    from hexpack.search import build_ledger
+    from hexpack.search import _replay, build_ledger
     from hexpack.surface import CodeMemo, SurfacePattern, canonical_code
     from perfbench.workloads import CENSUS_SHA256, ledger_sha256
 
@@ -59,7 +68,39 @@ def main(argv=None):
         timed[depth] = perf_counter() - t
         if ledger_sha256(ledger) != want:
             raise SystemExit(f"build_ledger({depth}) differs from its pinned digest")
+        if depth == 6:
+            slots = [
+                (rec.code, rec.witness(parity))
+                for rec in ledger.records.values()
+                for parity in ("odd", "even")
+                if rec.slot(parity) is not None
+            ]
         del ledger
+
+    def replay_slots():
+        for code, witness in slots:
+            if hp.canonical_code(_replay(witness)[1]) != code:
+                raise SystemExit("a build_ledger(6) witness does not replay to its code")
+
+    bundled = [hp.pyramid36()[0], hp.parity_odd17(), hp.parity_even18()]
+    meshes = bundled + [hp.subdivide_hex(c) for c in bundled]
+
+    def grow_orders():
+        for c in meshes:
+            res = hp.find_grow_order(c)
+            code = hp.canonical_code(hp.extract_boundary(c))
+            if not res.found or hp.canonical_code(
+                hp.extract_boundary(hp.replay_witness(res.witness))
+            ) != code:
+                raise SystemExit(f"no valid grow order for a {len(c)}-hex mesh")
+
+    for name, work in (("replay_6", replay_slots), ("grow_orders", grow_orders)):
+        times = []
+        for _ in range(PASSES):
+            t = perf_counter()
+            work()
+            times.append(perf_counter() - t)
+        timed[name] = min(times)
 
     coded = []
     full = [0]
@@ -115,21 +156,29 @@ def main(argv=None):
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
+         "--continue-on-collection-errors", "--durations=3"],
         cwd=root, env=env, capture_output=True, text=True,
     )
     out = run.stdout
     crit = re.search(r"ACCEPTANCE 4 [^\n]*: PASS \(([\d.]+)s\)", out)
+    false_case = re.search(
+        r"([\d.]+)s call +\S+::test_local_move_check_matches_whole_complex_check\[False\]",
+        out,
+    )
     summary = re.search(r"(\d+) passed[^\n]* in ([\d.]+)s", out)
     print(json.dumps({
         "checkout": str(root),
         "python": sys.version.split()[0],
         "build_ledger_6_s": round(timed[6], 2),
         "build_ledger_7_s": round(timed[7], 2),
+        "replay_6_slots": len(slots),
+        "replay_6_s": round(timed["replay_6"], 2),
+        "grow_orders_s": round(timed["grow_orders"], 2),
         "full_codes_6": full[0],
         "memo_calls_6": memo_calls[0],
         "codes": codes,
         "criterion_4_s": float(crit.group(1)) if crit else None,
+        "local_move_false_s": float(false_case.group(1)) if false_case else None,
         "suite_s": float(summary.group(2)) if summary else None,
         "suite_passed": int(summary.group(1)) if summary else None,
         "suite_exit": run.returncode,

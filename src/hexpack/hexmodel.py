@@ -92,24 +92,59 @@ class HexComplex:
     conformity invariants.  Instances built directly are not checked.
     """
 
-    __slots__ = ("vertex_count", "hexes", "_face_index")
+    __slots__ = ("vertex_count", "hexes", "_face_index", "_grown_from")
 
     def __init__(self, vertex_count, hexes):
         self.vertex_count = int(vertex_count)
         self.hexes = tuple(tuple(h) for h in hexes)
         self._face_index = None
+        # (predecessor's face index, last hex) of a complex made by glued()
+        self._grown_from = None
 
     @property
     def face_index(self):
-        """Map from face key to the (hex index, face index) incidences."""
+        """Map from face key to the (hex index, face index) incidences.
+
+        Keys come in (hex, face) order of their first incidence.  A
+        complex made by glued() takes a copy of its predecessor's index
+        and adds its last hex's 6 incidences: a key that hex shares
+        keeps its place, a new key goes last, in face order.  That is
+        the dict a rebuild makes, so boundary_items keeps its order.
+        Any other complex builds the index from all its hexes.  Either
+        way it is built on first use.
+        """
         if self._face_index is None:
-            index = {}
-            for hi, corners in enumerate(self.hexes):
+            grown_from = self._grown_from  # read once: another thread may clear it
+            if grown_from is not None:
+                index, new_hex = grown_from
+                index = dict(index)
+                hi = len(self.hexes) - 1
                 for f in range(6):
-                    key = face_key(hex_face_cycle(corners, f))
-                    index.setdefault(key, []).append((hi, f))
-            self._face_index = {k: tuple(v) for k, v in index.items()}
+                    key = face_key(hex_face_cycle(new_hex, f))
+                    index[key] = index.get(key, ()) + ((hi, f),)
+                self._grown_from = None
+            else:
+                index = {}
+                for hi, corners in enumerate(self.hexes):
+                    for f in range(6):
+                        key = face_key(hex_face_cycle(corners, f))
+                        index.setdefault(key, []).append((hi, f))
+                index = {k: tuple(v) for k, v in index.items()}
+            self._face_index = index
         return self._face_index
+
+    def glued(self, new_hex):
+        """This complex with new_hex appended; its face index carries on.
+
+        The new complex holds this one's index and copies it on its own
+        first face_index call, so the two never share a mutable dict,
+        and a candidate whose index is never read costs no copy.
+        new_hex is not checked (glue_hex does that).
+        """
+        grown = HexComplex(max(self.vertex_count, max(new_hex) + 1),
+                           self.hexes + (new_hex,))
+        grown._grown_from = (self.face_index, new_hex)
+        return grown
 
     def hex_face(self, hi, f):
         return hex_face_cycle(self.hexes[hi], f)
@@ -342,12 +377,14 @@ def extract_boundary(c):
 
 
 def classify_vertices(c):
-    """Split vertex ids into (boundary, interior), both sorted tuples."""
+    """Split the vertex ids the hexes use into (boundary, interior),
+    both sorted tuples; an id no hex uses is in neither."""
     on_boundary = set()
     for q in c.boundary_quads():
         on_boundary.update(q)
+    used = {v for h in c.hexes for v in h}
     boundary = tuple(sorted(on_boundary))
-    interior = tuple(v for v in range(c.vertex_count) if v not in on_boundary)
+    interior = tuple(sorted(used - on_boundary))
     return boundary, interior
 
 

@@ -364,7 +364,10 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     So an unglued face that lands on a surface quad is rejected here,
     in either orientation: that attachment belongs to a larger config.
     The returned pattern lists the unglued old quads, then the new ones.
-    A rejection is counted in counters under "euler" or "conformity".
+    The grown complex carries the packing's face index plus the new
+    hex's 6 keys (HexComplex.glued), so a chain of glues keys each face
+    once, not once per step.  A rejection is counted in counters under
+    "euler" or "conformity".
     """
     mask = 0
     for f in targets:
@@ -419,8 +422,7 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     # the old surface in two, which only the whole surface can tell.
     if splits and boundary_violations(succ_quads):
         return _reject(counters, "conformity")
-    grown = HexComplex(max(nv, max(new_hex) + 1), packing.hexes + (new_hex,))
-    return grown, SurfacePattern(succ_quads)
+    return packing.glued(new_hex), SurfacePattern(succ_quads)
 
 
 def _realize(packing, pattern, cfg, seeds, rotation, *, sphere_mode,

@@ -209,7 +209,9 @@ def _replay(witness):
 
     Every step is validated.  The boundary is extracted once, for the
     start; each move's pattern keeps extract_boundary's quad order, so
-    it addresses the next placement's quads as the search did.
+    it addresses the next placement's quads as the search did.  Each
+    grown complex carries its predecessor's face index forward, so a
+    witness of length L keys its 6 L faces once, not at every step.
     """
     packing = initial_packing()
     pattern = extract_boundary(packing)

@@ -88,6 +88,16 @@ def test_verify_rejects_nonconforming_mesh(tmp_path, capsys):
     assert "invalid:" in err
 
 
+def test_verify_counts_no_unused_vertex_as_interior(tmp_path, capsys):
+    doc = tmp_path / "cube9.hexmesh"
+    doc.write_text("hexmesh 9 1\n0 1 2 3 4 5 6 7\n")
+    rc, out, _ = run(capsys, "verify", str(doc))
+    assert rc == 0
+    assert "vertices: 9" in out
+    assert "boundary vertices: 8" in out
+    assert "interior vertices: 0" in out
+
+
 def test_verify_parse_error(tmp_path, capsys):
     doc = tmp_path / "broken.hexmesh"
     doc.write_text("hexmesh 8 1\n0 1 2 3 4 5 6\n")

@@ -135,6 +135,11 @@ def test_boundary_and_classification_of_ground_truth(pyramid):
     assert hex_parity(c) == "even"
 
 
+def test_an_unused_vertex_id_is_neither_boundary_nor_interior():
+    c = build_complex([tuple(range(8))], vertex_count=9)
+    assert classify_vertices(c) == (tuple(range(8)), ())
+
+
 def test_parity_fixtures_shapes(odd17, even18):
     assert len(odd17.hexes) == 17 and hex_parity(odd17) == "odd"
     assert len(even18.hexes) == 18 and hex_parity(even18) == "even"

@@ -5,7 +5,9 @@ from conftest import grid_complex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hexpack.moves as moves
 from hexpack.errors import InvalidPlacement, ValidationError
+from hexpack.fixtures import parity_odd17
 from hexpack.hexmodel import (
     HEX_FACES,
     HexComplex,
@@ -13,6 +15,7 @@ from hexpack.hexmodel import (
     extract_boundary,
     hex_parity,
     oriented_key,
+    subdivide_hex,
 )
 from hexpack.moves import (
     Placement,
@@ -27,7 +30,12 @@ from hexpack.moves import (
     glue_configs,
     initial_packing,
 )
-from hexpack.search import SearchOptions, build_ledger, replay_witness
+from hexpack.search import (
+    SearchOptions,
+    build_ledger,
+    find_grow_order,
+    replay_witness,
+)
 from hexpack.surface import (
     CodeMemo,
     SurfacePattern,
@@ -358,6 +366,46 @@ def test_two_opposite_rotation_encoding():
     assert pl.rotation == 13
     token = pl.token()
     assert Placement.from_token(token) == pl
+
+
+def test_grown_complexes_carry_the_rebuilt_face_index(monkeypatch):
+    grown = []
+    plain = moves.glue_hex
+
+    def recording_glue(*args, **kwargs):
+        res = plain(*args, **kwargs)
+        if res is not None:
+            grown.append(res[0])
+        return res
+
+    monkeypatch.setattr(moves, "glue_hex", recording_glue)
+    build_ledger(4)
+    build_ledger(3, SearchOptions(sphere_mode=False))
+    assert find_grow_order(subdivide_hex(parity_odd17())).found
+    assert len(grown) > 900 and max(map(len, grown)) == 136
+    for c in grown:
+        # items and their order: boundary_items reads the dict in order
+        want = HexComplex(c.vertex_count, c.hexes).face_index
+        assert list(c.face_index.items()) == list(want.items())
+
+
+def test_a_glue_leaves_the_predecessor_index_alone():
+    ledger = build_ledger(3, SearchOptions(sphere_mode=False))
+    states = [
+        replay_witness(rec.witness(parity))
+        for _, rec in sorted(ledger.records.items())
+        for parity in ("odd", "even")
+        if rec.slot(parity) is not None
+    ]
+    for packing in states + [pocket_complex()[0]]:
+        before = list(packing.face_index.items())
+        moves_seen = enumerate_moves(
+            packing, sphere_mode=False, dedup_by_successor=False
+        )
+        assert moves_seen
+        for cand in moves_seen:
+            assert cand.complex.face_index is not packing.face_index
+        assert list(packing.face_index.items()) == before
 
 
 def whole_complex_rule(packing, pattern, cfg, seeds, sphere_mode):
