@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time canonical codes and the searches built on them in one checkout of
-hexpack; print one JSON object.
+"""Time canonical codes, the searches built on them and the embeddings in
+one checkout of hexpack; print one JSON object.
 
     python3 scripts/bench_canonical_code.py [CHECKOUT]
 
@@ -28,6 +28,15 @@ suite it starts, to one CPU.  It reports:
   their ``/8`` subdivisions, each witness replayed and its boundary
   code held to the mesh's, as the certify-embed workload does (best of
   three passes);
+- ``embed_s``: ``init_interior`` then ``optimize_embedding`` on
+  ``pyramid36`` and ``pyramid36/8`` from their shipped boundary
+  coordinates, as the certify-embed workload runs them (best of three
+  passes);
+- ``init_interior_s``: ``init_interior`` on ``pyramid36/8`` alone (best
+  of three passes);
+- ``embed_iterations``: the optimizer's accepted steps on each mesh;
+- ``embed_sha256``: a digest of both meshes' start and final embedding
+  bytes, iteration counts and stop reasons, the same in every pass;
 - ``criterion_4_s``, ``local_move_false_s`` and ``suite_s``: acceptance
   criterion 4, the ``[False]`` case of
   ``test_local_move_check_matches_whole_complex_check`` and the whole
@@ -94,7 +103,35 @@ def main(argv=None):
             ) != code:
                 raise SystemExit(f"no valid grow order for a {len(c)}-hex mesh")
 
-    for name, work in (("replay_6", replay_slots), ("grow_orders", grow_orders)):
+    pyramid, coords = hp.pyramid36()
+    fine, fine_coords = hp.subdivide_hex(pyramid, coords)
+    embed_inputs = []
+    for name, c, xyz in (("pyramid36", pyramid, coords), ("pyramid36/8", fine, fine_coords)):
+        boundary, _ = hp.classify_vertices(c)
+        embed_inputs.append((name, c, {v: xyz[v] for v in boundary}))
+    embedded = {}
+
+    def embed():
+        digest = hashlib.sha256()
+        iterations = {}
+        for name, c, fixed in embed_inputs:
+            start = hp.init_interior(c, fixed)
+            res = hp.optimize_embedding(c, start, fixed)
+            digest.update(start.tobytes())
+            digest.update(res.embedding.tobytes())
+            digest.update(f"{res.iterations} {res.stop_reason};".encode())
+            iterations[name] = res.iterations
+        if embedded.setdefault("sha256", digest.hexdigest()) != digest.hexdigest():
+            raise SystemExit("two embedding passes gave different results")
+        embedded["iterations"] = iterations
+
+    fine_fixed = embed_inputs[1][2]
+    for name, work in (
+        ("replay_6", replay_slots),
+        ("grow_orders", grow_orders),
+        ("embed", embed),
+        ("init_interior", lambda: hp.init_interior(fine, fine_fixed)),
+    ):
         times = []
         for _ in range(PASSES):
             t = perf_counter()
@@ -174,6 +211,10 @@ def main(argv=None):
         "replay_6_slots": len(slots),
         "replay_6_s": round(timed["replay_6"], 2),
         "grow_orders_s": round(timed["grow_orders"], 2),
+        "embed_s": round(timed["embed"], 3),
+        "init_interior_s": round(timed["init_interior"], 3),
+        "embed_iterations": embedded["iterations"],
+        "embed_sha256": embedded["sha256"],
         "full_codes_6": full[0],
         "memo_calls_6": memo_calls[0],
         "codes": codes,

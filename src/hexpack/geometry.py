@@ -15,6 +15,19 @@ rejecting any step that would re-invert a corner.  Both
 phases run monotone line-searched L-BFGS descent on the free vertices.
 A deliberately simple substitute for published untangling schemes,
 good enough to embed the packings produced here.
+
+One evaluation of either objective gathers every corner frame at once:
+_corner_slots, built once per optimize_embedding or public call, holds
+the flat coordinate indices of each corner's three neighbours and of
+the corner, so one np.take fetches them and one np.bincount over the
+same indices sums the gradient, each vertex's terms in a fixed order.
+In the quality phase the inversion test comes first, on the corner
+determinants the energy needs anyway, so a trial step that inverts a
+corner is refused before any edge length is computed.  Cross products
+use _cross, numpy's products in numpy's order without its axis
+handling.  Dot products stay np.einsum: numpy 2.4 sums its three terms
+as (p0 + p2) + p1, so a hand-written p0 + p1 + p2 rounds differently
+and would move every embedding.
 """
 
 from __future__ import annotations
@@ -100,14 +113,33 @@ def as_positions(e, vertex_count):
     return out
 
 
-def _frames(hexes, positions):
+def _corner_slots(hexes):
+    """(4, H, 8, 3) indices into a flattened (V, 3) coordinate array.
+
+    Row k < 3 holds the coordinates of each corner's _NA, _NB or _NC
+    neighbour, row 3 those of the corner itself.  One np.take gathers
+    every frame, and one np.bincount over the same indices sums the
+    corner gradients, each slot's terms in row, hex, corner order.
+    """
+    hexes = np.asarray(hexes, dtype=np.intp).reshape(-1, 8)
+    ids = np.stack((hexes[:, _NA], hexes[:, _NB], hexes[:, _NC], hexes))
+    return ids[..., None] * 3 + np.arange(3)
+
+
+def _frames(slots, positions):
     """The three edge vectors leaving every hex corner, each (H, 8, 3)."""
-    corners = positions[hexes]
-    return (
-        corners[:, _NA] - corners,
-        corners[:, _NB] - corners,
-        corners[:, _NC] - corners,
-    )
+    na, nb, nc, corner = np.take(positions, slots)
+    return na - corner, nb - corner, nc - corner
+
+
+def _cross(a, b):
+    """Cross product of (..., 3) arrays over the last axis: numpy's own
+    products, subtracted in the same order, without its axis handling."""
+    out = np.empty_like(a)
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
 
 
 def corner_scaled_jacobians(c, e):
@@ -115,13 +147,13 @@ def corner_scaled_jacobians(c, e):
     positions = as_positions(e, c.vertex_count)
     if len(c.hexes) == 0:
         return np.empty((0, 8), dtype=float)
-    u, v, w = _frames(np.asarray(c.hexes), positions)
+    u, v, w = _frames(_corner_slots(c.hexes), positions)
     a = np.linalg.norm(u, axis=2)
     b = np.linalg.norm(v, axis=2)
     d = np.linalg.norm(w, axis=2)
     if not (a.all() and b.all() and d.all()):
         raise DegenerateEdge("zero-length hex edge in embedding")
-    det = np.einsum("hci,hci->hc", u, np.cross(v, w))
+    det = np.einsum("hci,hci->hc", u, _cross(v, w))
     return np.clip(det / (a * b * d), -1.0, 1.0)
 
 
@@ -178,41 +210,52 @@ def init_interior(c, fixed, tolerance=1e-9):
             pairs.add((vb, va))
     rows = np.array(sorted(pairs))
     counts = np.bincount(rows[:, 0], minlength=c.vertex_count).reshape(-1, 1)
-    ilist = list(interior)
+    # coordinate slots of each edge's two ends in the flattened positions;
+    # bincount sums the terms of every slot in row order
+    to_slots, from_slots = (rows.T[:, :, None] * 3 + np.arange(3)).reshape(2, -1)
+    inner = np.array(interior)
     for _ in range(INIT_MAX_SWEEPS):
-        sums = np.zeros_like(positions)
-        np.add.at(sums, rows[:, 0], positions[rows[:, 1]])
+        sums = np.bincount(
+            to_slots, np.take(positions, from_slots), positions.size
+        ).reshape(-1, 3)
         new = sums / np.maximum(counts, 1)
-        delta = np.abs(new[ilist] - positions[ilist]).max()
-        positions[ilist] = new[ilist]
+        delta = np.abs(new[inner] - positions[inner]).max()
+        positions[inner] = new[inner]
         if delta < tolerance:
             break
     return positions
 
 
-def _corner_dets(hexes, positions):
-    u, v, w = _frames(hexes, positions)
-    return np.einsum("hci,hci->hc", u, np.cross(v, w))
+def _corner_dets(slots, positions):
+    u, v, w = _frames(slots, positions)
+    return np.einsum("hci,hci->hc", u, _cross(v, w))
 
 
-def _scatter_corner_grads(hexes, positions, gu, gv, gw):
-    grad = np.zeros_like(positions)
-    np.add.at(grad, hexes[:, _NA], gu)
-    np.add.at(grad, hexes[:, _NB], gv)
-    np.add.at(grad, hexes[:, _NC], gw)
-    np.add.at(grad, hexes, -(gu + gv + gw))
-    return grad
+def _scatter_corner_grads(slots, positions, gu, gv, gw):
+    """Sum the gradients of every corner's three edge vectors onto the
+    vertices: + on each neighbour, - on the corner."""
+    terms = np.stack((gu, gv, gw, -(gu + gv + gw)))
+    return np.bincount(slots.ravel(), terms.ravel(), positions.size).reshape(-1, 3)
 
 
-def _quality_energy(hexes, positions, sigma, want_grad):
-    u, v, w = _frames(hexes, positions)
+def _quality_energy(slots, positions, sigma, want_grad, forbid_inverted):
+    """The quality penalty and its gradient (or None).
+
+    With forbid_inverted, an embedding with a non-positive corner
+    determinant is a forbidden state: infinite energy, decided before
+    any edge length is computed.
+    """
+    u, v, w = _frames(slots, positions)
+    vw = _cross(v, w)
+    det = np.einsum("hci,hci->hc", u, vw)
+    if forbid_inverted and det.min() <= 0.0:
+        return float("inf"), None
     a2 = np.einsum("hci,hci->hc", u, u)
     b2 = np.einsum("hci,hci->hc", v, v)
     c2 = np.einsum("hci,hci->hc", w, w)
-    vw = np.cross(v, w)
     with np.errstate(divide="ignore", invalid="ignore"):
         norm = np.sqrt(a2 * b2 * c2)
-        s = np.einsum("hci,hci->hc", u, vw) / norm
+        s = det / norm
     if not np.isfinite(s).all():
         return float("inf"), None
     gap = np.maximum(sigma - s, 0.0)
@@ -222,14 +265,14 @@ def _quality_energy(hexes, positions, sigma, want_grad):
     coef = (-2.0 * gap / norm)[:, :, None]
     sn = (2.0 * gap * s)[:, :, None]
     gu = coef * vw + sn * u / a2[:, :, None]
-    gv = coef * np.cross(w, u) + sn * v / b2[:, :, None]
-    gw = coef * np.cross(u, v) + sn * w / c2[:, :, None]
-    return energy, _scatter_corner_grads(hexes, positions, gu, gv, gw)
+    gv = coef * _cross(w, u) + sn * v / b2[:, :, None]
+    gw = coef * _cross(u, v) + sn * w / c2[:, :, None]
+    return energy, _scatter_corner_grads(slots, positions, gu, gv, gw)
 
 
-def _det_energy(hexes, positions, delta, want_grad):
-    u, v, w = _frames(hexes, positions)
-    vw = np.cross(v, w)
+def _det_energy(slots, positions, delta, want_grad):
+    u, v, w = _frames(slots, positions)
+    vw = _cross(v, w)
     det = np.einsum("hci,hci->hc", u, vw)
     gap = np.maximum(delta - det, 0.0)
     energy = float((gap * gap).sum())
@@ -237,22 +280,26 @@ def _det_energy(hexes, positions, delta, want_grad):
         return energy, None
     co = (-2.0 * gap)[:, :, None]
     gu = co * vw
-    gv = co * np.cross(w, u)
-    gw = co * np.cross(u, v)
-    return energy, _scatter_corner_grads(hexes, positions, gu, gv, gw)
+    gv = co * _cross(w, u)
+    gw = co * _cross(u, v)
+    return energy, _scatter_corner_grads(slots, positions, gu, gv, gw)
 
 
 def penalty_energy(c, e, sigma=BARRIER_STRENGTH):
     """Quality objective: sum over corners of max(0, sigma - s)^2."""
     positions = as_positions(e, c.vertex_count)
-    energy, _ = _quality_energy(np.asarray(c.hexes), positions, sigma, False)
+    energy, _ = _quality_energy(
+        _corner_slots(c.hexes), positions, sigma, False, False
+    )
     return energy
 
 
 def penalty_gradient(c, e, sigma=BARRIER_STRENGTH):
     """Analytic gradient of penalty_energy with respect to every vertex."""
     positions = as_positions(e, c.vertex_count)
-    _, grad = _quality_energy(np.asarray(c.hexes), positions, sigma, True)
+    _, grad = _quality_energy(
+        _corner_slots(c.hexes), positions, sigma, True, False
+    )
     if grad is None:
         raise DegenerateEdge("zero-length hex edge in embedding")
     return grad
@@ -261,14 +308,14 @@ def penalty_gradient(c, e, sigma=BARRIER_STRENGTH):
 def det_penalty_energy(c, e, delta):
     """Untangling objective: sum over corners of max(0, delta - det)^2."""
     positions = as_positions(e, c.vertex_count)
-    energy, _ = _det_energy(np.asarray(c.hexes), positions, delta, False)
+    energy, _ = _det_energy(_corner_slots(c.hexes), positions, delta, False)
     return energy
 
 
 def det_penalty_gradient(c, e, delta):
     """Analytic gradient of det_penalty_energy."""
     positions = as_positions(e, c.vertex_count)
-    _, grad = _det_energy(np.asarray(c.hexes), positions, delta, True)
+    _, grad = _det_energy(_corner_slots(c.hexes), positions, delta, True)
     return grad
 
 
@@ -285,9 +332,13 @@ def _descend(fg, positions, free, budget, step0, tolerance):
     fg(positions, want_grad) -> (energy, grad or None); an infinite
     energy marks a forbidden state, which the line search backs away
     from.  Returns (positions, energy, accepted_steps, reason); every
-    accepted step strictly decreases the energy.
+    accepted step strictly decreases the energy.  A start without a
+    gradient (zero-length edges under the quality energy) raises
+    DegenerateEdge.
     """
     energy, grad = fg(positions, True)
+    if grad is None:
+        raise DegenerateEdge("zero-length hex edge in embedding")
     if energy == 0.0 or free.size == 0:
         return positions, energy, 0, "zero_energy" if energy == 0.0 else "stall"
     x = positions[free].ravel()
@@ -368,7 +419,9 @@ def optimize_embedding(c, e, fixed):
     the shared iteration budget runs out.  non_improvable is set when
     the result still has a non-positive corner but the optimizer
     stopped for lack of progress rather than budget.  Fixed rows of the
-    result are bit-identical to the input.
+    result are bit-identical to the input.  An embedding whose quality
+    phase would start on a zero-length edge (say, every point at one
+    place) raises DegenerateEdge.
     """
     positions = as_positions(e, c.vertex_count).copy()
     fixed = set(fixed)
@@ -378,7 +431,7 @@ def optimize_embedding(c, e, fixed):
     free = np.array(
         [vid for vid in range(c.vertex_count) if vid not in fixed], dtype=int
     )
-    hexes = np.asarray(c.hexes)
+    slots = _corner_slots(c.hexes)
 
     def finish(iters, energy, reason):
         rep = quality_report(c, positions)
@@ -391,17 +444,19 @@ def optimize_embedding(c, e, fixed):
     if len(c.hexes) == 0:
         return finish(0, 0.0, "zero_energy")
     if free.size == 0:
-        energy, _ = _quality_energy(hexes, positions, BARRIER_STRENGTH, False)
+        energy, _ = _quality_energy(
+            slots, positions, BARRIER_STRENGTH, False, False
+        )
         return finish(0, energy, "zero_energy" if energy == 0.0 else "stall")
 
-    dets = _corner_dets(hexes, positions)
+    dets = _corner_dets(slots, positions)
     if not np.isfinite(dets).all():
         raise ValueError("embedding produces non-finite corner determinants")
     delta = _UNTANGLE_MARGIN * float(np.abs(dets).mean())
     used = 0
     if dets.min() < delta:
         positions, energy, steps, reason = _descend(
-            lambda p, wg: _det_energy(hexes, p, delta, wg),
+            lambda p, wg: _det_energy(slots, p, delta, wg),
             positions,
             free,
             MAX_ITERATIONS,
@@ -412,15 +467,9 @@ def optimize_embedding(c, e, fixed):
         if reason not in ("zero_energy",) and energy > 0.0:
             return finish(used, energy, reason)
 
-    feasible = _corner_dets(hexes, positions).min() > 0.0
-
-    def quality_fg(pts, want_grad):
-        if feasible and _corner_dets(hexes, pts).min() <= 0.0:
-            return float("inf"), None
-        return _quality_energy(hexes, pts, BARRIER_STRENGTH, want_grad)
-
+    feasible = _corner_dets(slots, positions).min() > 0.0
     positions, energy, steps, reason = _descend(
-        quality_fg,
+        lambda p, wg: _quality_energy(slots, p, BARRIER_STRENGTH, wg, feasible),
         positions,
         free,
         MAX_ITERATIONS - used,

@@ -5,8 +5,15 @@ import json
 from conftest import grid_complex
 
 from hexpack.cli import main
-from hexpack.formats import parse_mesh, parse_vtk, parse_witness, write_mesh
-from hexpack.hexmodel import extract_boundary
+from hexpack.fixtures import pyramid36
+from hexpack.formats import (
+    parse_mesh,
+    parse_vtk,
+    parse_witness,
+    write_coords,
+    write_mesh,
+)
+from hexpack.hexmodel import classify_vertices, extract_boundary
 from hexpack.search import replay_witness
 from hexpack.surface import canonical_code
 
@@ -280,6 +287,25 @@ def test_embed_unknown_builtin_boundary(tmp_path, capsys):
     )
     assert rc == 2
     assert "unknown builtin boundary" in err
+
+
+def test_embed_collapsed_boundary_is_a_usage_error(tmp_path, capsys):
+    boundary, _ = classify_vertices(pyramid36()[0])
+    coords = tmp_path / "origin.coords"
+    coords.write_text(write_coords({vid: (0.0, 0.0, 0.0) for vid in boundary}))
+    out_path = tmp_path / "x.vtk"
+    rc, _, err = run(
+        capsys,
+        "embed",
+        "builtin:pyramid36",
+        "--boundary",
+        str(coords),
+        "-o",
+        str(out_path),
+    )
+    assert rc == 2
+    assert err.startswith("error:") and "zero-length hex edge" in err
+    assert not out_path.exists()
 
 
 # --------------------------------------------------------- subdivide, export

@@ -5,10 +5,22 @@ import pytest
 from conftest import grid_complex
 
 from hexpack.errors import DegenerateEdge, MissingCoordinates
+from hexpack.fixtures import pyramid36
 from hexpack.geometry import (
+    _NA,
+    _NB,
+    _NC,
     CORNER_NEIGHBORS,
     BARRIER_STRENGTH,
+    INIT_MAX_SWEEPS,
     MAX_ITERATIONS,
+    _corner_dets,
+    _corner_slots,
+    _cross,
+    _det_energy,
+    _frames,
+    _quality_energy,
+    _scatter_corner_grads,
     as_positions,
     corner_scaled_jacobians,
     det_penalty_energy,
@@ -20,7 +32,12 @@ from hexpack.geometry import (
     pyramid_boundary_coords,
     quality_report,
 )
-from hexpack.hexmodel import build_complex, classify_vertices, subdivide_hex
+from hexpack.hexmodel import (
+    HEX_EDGES,
+    build_complex,
+    classify_vertices,
+    subdivide_hex,
+)
 
 # ---------------------------------------------------------------- measurement
 
@@ -298,3 +315,256 @@ def test_optimizer_keeps_prescribed_pyramid_positive(pyramid):
     assert res.report.nonpositive_count == 0
     assert res.report.global_min > 0.0
     assert res.energy <= before
+
+
+def test_all_coincident_points_raise_degenerate_edge(cube, pyramid):
+    # every corner determinant is 0, so untangling is skipped, and the
+    # quality phase cannot start from zero-length edges
+    with pytest.raises(DegenerateEdge):
+        optimize_embedding(cube, np.zeros((8, 3)), fixed=range(4))
+    c, _ = pyramid
+    boundary, _ = classify_vertices(c)
+    start = init_interior(c, {vid: (0.0, 0.0, 0.0) for vid in boundary})
+    with pytest.raises(DegenerateEdge):
+        optimize_embedding(c, start, fixed=boundary)
+
+
+def test_bundled_embeddings_keep_their_results(pyramid):
+    # the two embeddings perfbench times: harmonic starts of pyramid36
+    # and of its subdivision, boundaries at their shipped coordinates
+    c, coords = pyramid
+    fine, fine_coords = subdivide_hex(c, coords)
+    want = {36: (401, 0.18507121067682816), 288: (67, 0.01682564085033164)}
+    for mesh, xyz in ((c, coords), (fine, fine_coords)):
+        boundary, _ = classify_vertices(mesh)
+        fixed = {vid: xyz[vid] for vid in boundary}
+        res = optimize_embedding(mesh, init_interior(mesh, fixed), fixed)
+        assert (res.iterations, res.report.global_min) == want[len(mesh.hexes)]
+        assert res.stop_reason == "stall"
+        assert res.report.nonpositive_count == 0
+
+
+# ---------------------------------------------- kernels against references
+# The embedding kernels as they were before one gather served each
+# evaluation, kept verbatim (the quality phase's inversion test as
+# _ref_forbidding): the current kernels must match them bit for bit.
+
+
+def _ref_frames(hexes, positions):
+    """The three edge vectors leaving every hex corner, each (H, 8, 3)."""
+    corners = positions[hexes]
+    return (
+        corners[:, _NA] - corners,
+        corners[:, _NB] - corners,
+        corners[:, _NC] - corners,
+    )
+
+
+def _ref_corner_dets(hexes, positions):
+    u, v, w = _ref_frames(hexes, positions)
+    return np.einsum("hci,hci->hc", u, np.cross(v, w))
+
+
+def _ref_scatter_corner_grads(hexes, positions, gu, gv, gw):
+    grad = np.zeros_like(positions)
+    np.add.at(grad, hexes[:, _NA], gu)
+    np.add.at(grad, hexes[:, _NB], gv)
+    np.add.at(grad, hexes[:, _NC], gw)
+    np.add.at(grad, hexes, -(gu + gv + gw))
+    return grad
+
+
+def _ref_quality_energy(hexes, positions, sigma, want_grad):
+    u, v, w = _ref_frames(hexes, positions)
+    a2 = np.einsum("hci,hci->hc", u, u)
+    b2 = np.einsum("hci,hci->hc", v, v)
+    c2 = np.einsum("hci,hci->hc", w, w)
+    vw = np.cross(v, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.sqrt(a2 * b2 * c2)
+        s = np.einsum("hci,hci->hc", u, vw) / norm
+    if not np.isfinite(s).all():
+        return float("inf"), None
+    gap = np.maximum(sigma - s, 0.0)
+    energy = float((gap * gap).sum())
+    if not want_grad:
+        return energy, None
+    coef = (-2.0 * gap / norm)[:, :, None]
+    sn = (2.0 * gap * s)[:, :, None]
+    gu = coef * vw + sn * u / a2[:, :, None]
+    gv = coef * np.cross(w, u) + sn * v / b2[:, :, None]
+    gw = coef * np.cross(u, v) + sn * w / c2[:, :, None]
+    return energy, _ref_scatter_corner_grads(hexes, positions, gu, gv, gw)
+
+
+def _ref_forbidding(hexes, pts, sigma, want_grad):
+    if _ref_corner_dets(hexes, pts).min() <= 0.0:
+        return float("inf"), None
+    return _ref_quality_energy(hexes, pts, sigma, want_grad)
+
+
+def _ref_det_energy(hexes, positions, delta, want_grad):
+    u, v, w = _ref_frames(hexes, positions)
+    vw = np.cross(v, w)
+    det = np.einsum("hci,hci->hc", u, vw)
+    gap = np.maximum(delta - det, 0.0)
+    energy = float((gap * gap).sum())
+    if not want_grad:
+        return energy, None
+    co = (-2.0 * gap)[:, :, None]
+    gu = co * vw
+    gv = co * np.cross(w, u)
+    gw = co * np.cross(u, v)
+    return energy, _ref_scatter_corner_grads(hexes, positions, gu, gv, gw)
+
+
+def _ref_init_interior(c, fixed, tolerance=1e-9):
+    boundary, interior = classify_vertices(c)
+    bset = set(boundary)
+    missing = [vid for vid in boundary if vid not in fixed]
+    if missing:
+        raise MissingCoordinates(f"no coordinates for boundary vertex {missing[0]}")
+    extra = sorted(set(fixed) - bset)
+    if extra:
+        raise ValueError(f"fixed contains non-boundary vertex {extra[0]}")
+
+    positions = np.zeros((c.vertex_count, 3), dtype=float)
+    banchor = np.array([fixed[vid] for vid in boundary], dtype=float)
+    positions[list(boundary)] = banchor
+    if not interior:
+        return positions
+    positions[list(interior)] = banchor.mean(axis=0)
+
+    pairs = set()
+    for corners in c.hexes:
+        for a, b in HEX_EDGES:
+            va, vb = corners[a], corners[b]
+            pairs.add((va, vb))
+            pairs.add((vb, va))
+    rows = np.array(sorted(pairs))
+    counts = np.bincount(rows[:, 0], minlength=c.vertex_count).reshape(-1, 1)
+    ilist = list(interior)
+    for _ in range(INIT_MAX_SWEEPS):
+        sums = np.zeros_like(positions)
+        np.add.at(sums, rows[:, 0], positions[rows[:, 1]])
+        new = sums / np.maximum(counts, 1)
+        delta = np.abs(new[ilist] - positions[ilist]).max()
+        positions[ilist] = new[ilist]
+        if delta < tolerance:
+            break
+    return positions
+
+
+def _kernel_meshes():
+    """(name, complex, fixed boundary coords) for the reference checks."""
+    pyr, coords = pyramid36()
+    fine, fine_coords = subdivide_hex(pyr, coords)
+    grid, grid_coords = grid_complex(
+        [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
+    )
+    rng = np.random.default_rng(29)
+    jittered = grid_coords + 0.45 * rng.standard_normal(grid_coords.shape)
+    out = []
+    for name, c, xyz in (
+        ("pyramid36", pyr, np.asarray(coords, dtype=float)),
+        ("pyramid36/8", fine, np.asarray(fine_coords, dtype=float)),
+        ("jittered grid", grid, jittered),
+    ):
+        boundary, _ = classify_vertices(c)
+        out.append((name, c, xyz, {vid: xyz[vid] for vid in boundary}))
+    return out
+
+
+KERNEL_MESHES = _kernel_meshes()
+
+
+def _kernel_embeddings():
+    """(name, hexes, embedding): each mesh's coordinates, its harmonic
+    start, and all points at the origin."""
+    for name, c, xyz, fixed in KERNEL_MESHES:
+        hexes = np.asarray(c.hexes)
+        yield name, hexes, xyz
+        yield name + " harmonic start", hexes, _ref_init_interior(c, fixed)
+        yield name + " collapsed", hexes, np.zeros_like(xyz)
+
+
+def test_kernel_inputs_cover_inverted_corners():
+    inverted = {
+        name
+        for name, hexes, pts in _kernel_embeddings()
+        if (_ref_corner_dets(hexes, pts) < 0.0).any()
+    }
+    assert {"jittered grid", "pyramid36 harmonic start"} <= inverted
+    assert "pyramid36" not in inverted
+
+
+def test_frames_and_corner_dets_match_the_reference():
+    for name, hexes, pts in _kernel_embeddings():
+        slots = _corner_slots(hexes)
+        u, v, w = _frames(slots, pts)
+        for got, want in zip((u, v, w), _ref_frames(hexes, pts)):
+            assert np.array_equal(got, want), name
+        for a, b in ((v, w), (w, u), (u, v)):
+            assert np.array_equal(_cross(a, b), np.cross(a, b)), name
+        assert np.array_equal(
+            _corner_dets(slots, pts), _ref_corner_dets(hexes, pts)
+        ), name
+
+
+def _same_result(got, want):
+    (e1, g1), (e2, g2) = got, want
+    if g1 is None or g2 is None:
+        return e1 == e2 and g1 is None and g2 is None
+    return e1 == e2 and np.array_equal(g1, g2)
+
+
+@pytest.mark.parametrize("want_grad", [False, True])
+def test_quality_energy_matches_the_reference(want_grad):
+    returns = set()
+    for name, hexes, pts in _kernel_embeddings():
+        slots = _corner_slots(hexes)
+        for sigma in (BARRIER_STRENGTH, 0.9):
+            for forbid, ref in (
+                (False, _ref_quality_energy),
+                (True, _ref_forbidding),
+            ):
+                got = _quality_energy(slots, pts, sigma, want_grad, forbid)
+                want = ref(hexes, pts, sigma, want_grad)
+                assert _same_result(got, want), (name, sigma, forbid)
+                returns.add((forbid, math.isinf(got[0])))
+    # both the inversion test and the zero-length-edge test returned inf
+    assert returns == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("want_grad", [False, True])
+def test_det_energy_matches_the_reference(want_grad):
+    for name, hexes, pts in _kernel_embeddings():
+        slots = _corner_slots(hexes)
+        mean = float(np.abs(_ref_corner_dets(hexes, pts)).mean())
+        for delta in (0.0, 0.05 * mean, 2.0 * mean):
+            got = _det_energy(slots, pts, delta, want_grad)
+            want = _ref_det_energy(hexes, pts, delta, want_grad)
+            assert _same_result(got, want), (name, delta)
+
+
+def test_gradient_scatter_matches_the_reference():
+    rng = np.random.default_rng(41)
+    for name, c, xyz, _ in KERNEL_MESHES:
+        hexes = np.asarray(c.hexes)
+        gu, gv, gw = rng.standard_normal((3, len(hexes), 8, 3))
+        assert np.array_equal(
+            _scatter_corner_grads(_corner_slots(hexes), xyz, gu, gv, gw),
+            _ref_scatter_corner_grads(hexes, xyz, gu, gv, gw),
+        ), name
+
+
+def test_init_interior_matches_the_reference():
+    for name, c, xyz, fixed in KERNEL_MESHES:
+        assert np.array_equal(
+            init_interior(c, fixed), _ref_init_interior(c, fixed)
+        ), name
+        moved = {vid: xyz[vid] * 1.5 + 0.25 for vid in fixed}
+        assert np.array_equal(
+            init_interior(c, moved, tolerance=1e-4),
+            _ref_init_interior(c, moved, tolerance=1e-4),
+        ), name
