@@ -23,6 +23,8 @@ def main(argv=None):
     ap.add_argument("--max-hexes", type=int, default=6)
     _add_search_flags(ap)
     args = ap.parse_args(argv)
+    if args.max_hexes < 1:
+        ap.error("--max-hexes must be at least 1")
 
     options = _options_from_args(args)
     t0 = time.perf_counter()

@@ -31,7 +31,10 @@ def parse_args(argv=None):
                     help="witness output path (default pyramid.witness)")
     ap.add_argument("--mesh-out", default="pyramid.hexmesh",
                     help="mesh output path (default pyramid.hexmesh)")
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    if args.max_hexes < 1:
+        ap.error("--max-hexes must be at least 1")
+    return args
 
 
 def main(argv=None):
@@ -54,12 +57,11 @@ def main(argv=None):
         args.max_hexes, options, target=target, progress=report
     )
     rec = ledger.records.get(target)
-    best = rec.best() if rec is not None else None
-    if best is None or best[0] > args.max_hexes:  # a deeper checkpoint
+    if rec is None:
         print(f"exhausted: no packing within {args.max_hexes} hexes")
         return EXIT_EXHAUSTED
 
-    count, witness = best
+    count, witness = rec.best()
     print(f"found: {count} hexes")
     with open(args.out, "w") as fh:
         fh.write(write_witness(witness))

@@ -94,21 +94,23 @@ def _load_target_code(arg, reflection_invariant):
 def _options_from_args(args):
     return SearchOptions(
         sphere_mode=not args.no_sphere_mode,
-        reflection_invariant=not args.no_reflection,
+        reflection_invariant=not getattr(args, "no_reflection", False),
         allowed_configs=tuple(args.configs),
         checkpoint_dir=getattr(args, "checkpoint", None),
     )
 
 
 def _add_search_flags(sub, with_checkpoint=True):
-    sub.add_argument("--no-reflection", action="store_true",
-                     help="treat mirror-image patterns as distinct")
+    """The move-rule flags, and with_checkpoint those only a ledger
+    search reads: --no-reflection (codes) and --checkpoint."""
     sub.add_argument("--no-sphere-mode", action="store_true",
                      help="allow non-sphere boundary topology")
     sub.add_argument("--configs", type=_config_list,
                      default=SearchOptions.allowed_configs,
                      help="comma-separated glue config ids (default all)")
     if with_checkpoint:
+        sub.add_argument("--no-reflection", action="store_true",
+                         help="treat mirror-image patterns as distinct")
         sub.add_argument("--checkpoint", metavar="DIR",
                          help="checkpoint directory (resumes if present)")
 

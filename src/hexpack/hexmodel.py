@@ -5,8 +5,9 @@ corners 0..3 run around the bottom face, corners 4..7 around the top,
 with corner k directly below corner k+4.  Everything here is purely
 combinatorial; coordinates live in :mod:`hexpack.geometry`.
 
-Values are immutable after construction and all operations are pure
-functions, so they are safe to share between threads.
+Values are immutable after construction (a complex builds its face
+index on first use and then keeps it) and all operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -114,15 +115,14 @@ class HexComplex:
         way it is built on first use.
         """
         if self._face_index is None:
-            grown_from = self._grown_from  # read once: another thread may clear it
-            if grown_from is not None:
-                index, new_hex = grown_from
+            if self._grown_from is not None:
+                index, new_hex = self._grown_from
                 index = dict(index)
                 hi = len(self.hexes) - 1
                 for f in range(6):
                     key = face_key(hex_face_cycle(new_hex, f))
                     index[key] = index.get(key, ()) + ((hi, f),)
-                self._grown_from = None
+                self._grown_from = None  # let the predecessor's index go
             else:
                 index = {}
                 for hi, corners in enumerate(self.hexes):

@@ -277,8 +277,9 @@ def decode_rotation(cfg, rotation):
 class MoveResult:
     """A realized candidate: the placement plus its effect.
 
-    code is the successor's canonical code when enumerate_moves
-    deduplicates by successor, else b"".
+    code is the successor's canonical code as enumerate_moves hands it
+    out; it is b"" on the uncoded candidates _realize builds for
+    apply_move and grow orders.
     """
 
     placement: Placement
@@ -481,19 +482,19 @@ def _seed_choices(cfg, nquads):
 
 
 def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
-                    dedup_by_successor=True, counters=None, memo=None):
-    """All legal attachments of one new hex, as MoveResults.
+                    counters=None, memo=None):
+    """The legal attachments of one new hex, one per successor, as
+    MoveResults.
 
-    With dedup_by_successor each result carries its successor's
-    canonical code, results are sorted by (code, placement) and only the
-    first placement per code is kept.  Without it every legal placement
-    is returned, sorted by placement, with code b"".  The pattern
-    argument must be extract_boundary(packing) (it is computed when
-    omitted).  The codes come from memo, a surface.CodeMemo (a fresh
-    CodeMemo() when omitted), whose reflection mode decides whether
-    mirror images share a code: only the first successor of each
-    isomorphism class the memo meets is coded in full, so callers share
-    one memo across the states of a layer.  Within one call the
+    Each result carries its successor's canonical code, and of the
+    placements that reach one code only the first, by
+    Placement.sort_key, is kept; the results are sorted by code.  The
+    pattern argument must be extract_boundary(packing) (it is computed
+    when omitted).  The codes come from memo, a surface.CodeMemo (a
+    fresh CodeMemo() when omitted), whose reflection mode decides
+    whether mirror images share a code: only the first successor of
+    each isomorphism class the memo meets is coded in full, so callers
+    share one memo across the states of a layer.  Within one call the
     candidates of a one-component config share one code per glued-quad
     set: only the first of them asks the memo.  Each two-opposite
     candidate asks it.  counters, if given, is a dict whose "tried"
@@ -507,7 +508,7 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
     if memo is None:
         memo = CodeMemo()
     nquads = len(pattern.quads)
-    out = []
+    kept = {}  # successor code -> its first candidate
     codes = {}  # successor codes of this state, by glued quads
     for cfg in _CONFIGS:
         if allowed is not None and cfg.id not in allowed:
@@ -525,30 +526,21 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
             )
             if cand is None:
                 continue
-            if dedup_by_successor:
-                # A connected face set on given quads fixes the new hex up
-                # to a rotation of that face set, so the successors differ
-                # only in the ids of the new corners.  Two opposite faces
-                # can turn apart, so their seedings key by placement.
-                pl = cand.placement
-                key = (cfg.id, frozenset(pl.quads)) if one_piece else pl
-                code = codes.get(key)
-                if code is None:
-                    code = codes[key] = memo.code(cand.pattern)
-                cand = MoveResult(cand.placement, cand.complex, cand.pattern, code)
-                if counters is not None:
-                    counters["codes"] = counters.get("codes", 0) + 1
-            out.append(cand)
-    out.sort(key=lambda c: (c.code, c.placement.sort_key()))
-    if not dedup_by_successor:
-        return out
-    kept = []
-    seen = set()
-    for cand in out:
-        if cand.code not in seen:
-            seen.add(cand.code)
-            kept.append(cand)
-    return kept
+            # A connected face set on given quads fixes the new hex up to
+            # a rotation of that face set, so the successors differ only
+            # in the ids of the new corners.  Two opposite faces can turn
+            # apart, so their seedings key by placement.
+            pl = cand.placement
+            key = (cfg.id, frozenset(pl.quads)) if one_piece else pl
+            code = codes.get(key)
+            if code is None:
+                code = codes[key] = memo.code(cand.pattern)
+            if counters is not None:
+                counters["codes"] = counters.get("codes", 0) + 1
+            first = kept.get(code)
+            if first is None or pl.sort_key() < first.placement.sort_key():
+                kept[code] = MoveResult(pl, cand.complex, cand.pattern, code)
+    return [kept[code] for code in sorted(kept)]
 
 
 def apply_move(packing, placement, pattern=None):

@@ -247,21 +247,6 @@ def _fresh_ledger(options):
     return SearchLedger(records={code: rec}, layer=1, options=options)
 
 
-def _expand_record(code, witness, options, memo):
-    packing, pattern = _replay(witness)
-    counters = {}
-    cands = enumerate_moves(
-        packing,
-        pattern,
-        set(options.allowed_configs),
-        sphere_mode=options.sphere_mode,
-        dedup_by_successor=True,
-        counters=counters,
-        memo=memo,
-    )
-    return [(cand.code, code, cand.placement) for cand in cands], counters
-
-
 def build_ledger(max_hexes, options=None, target=None, progress=None):
     """Run the layered search up to max_hexes; returns the ledger.
 
@@ -272,7 +257,9 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
     makes the run resumable: an existing checkpoint is loaded and
     continued.  A checkpoint in which pruning skipped states only
     resumes with the same target and max_hexes; any other resume raises
-    CheckpointCorrupt.
+    CheckpointCorrupt.  One deeper than max_hexes is cut to it: only
+    slots up to max_hexes are kept, as a fresh run writes them, and the
+    checkpoint on disk keeps its deeper layers.
     """
     if options is None:
         options = SearchOptions()
@@ -299,6 +286,15 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
                 "checkpoint pruned states for another target or max_hexes"
             )
         ledger.options = options
+        if ledger.layer > max_hexes:
+            for code, rec in list(ledger.records.items()):
+                for parity in ("odd", "even"):
+                    count = rec.slot(parity)
+                    if count is not None and count > max_hexes:
+                        rec.set_slot(parity, None, None)
+                if rec.best() is None:
+                    del ledger.records[code]
+            ledger.layer = max_hexes
     fresh = ledger is None
     if fresh:
         ledger = _fresh_ledger(options)
@@ -313,13 +309,10 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
         if target in ledger.records:  # a record always holds a slot
             break
         parity = parity_word(layer)
-        frontier = [
-            (code, rec)
-            for code, rec in sorted(ledger.records.items())
-            if rec.slot(parity) == layer
-        ]
         work = {}  # code -> witness of each state to expand
-        for code, rec in frontier:
+        for code, rec in sorted(ledger.records.items()):
+            if rec.slot(parity) != layer:
+                continue
             if (
                 target is not None
                 and -(-abs(target_quads - rec.quad_count) // 4)
@@ -331,11 +324,17 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
 
         proposals = []
         memo = CodeMemo(options.reflection_invariant)
+        allowed = set(options.allowed_configs)
         for code, witness in work.items():
-            plist, counters = _expand_record(code, witness, options, memo)
-            proposals.extend(plist)
+            packing, pattern = _replay(witness)
+            counters = {}
+            cands = enumerate_moves(
+                packing, pattern, allowed, sphere_mode=options.sphere_mode,
+                counters=counters, memo=memo,
+            )
+            proposals.extend((cand.code, code, cand.placement) for cand in cands)
             ledger.stats.add_counters(counters)
-            ledger.stats.moves_valid += len(plist)
+            ledger.stats.moves_valid += len(cands)
         ledger.stats.states_expanded += len(work)
 
         next_parity = parity_word(layer + 1)
@@ -364,8 +363,7 @@ def search_min_packing(target, max_hexes, options=None):
 
     target may be a SurfacePattern or a code (bytes).  Returns a
     SearchResult; exhausted=True means max_hexes was reached without
-    finding the target.  Only slots up to max_hexes answer, also when a
-    checkpoint holds deeper layers, so a resume answers as a fresh run.
+    finding the target.
     """
     if options is None:
         options = SearchOptions()
@@ -374,18 +372,16 @@ def search_min_packing(target, max_hexes, options=None):
     target = bytes(target)
     ledger = build_ledger(max_hexes, options, target=target)
     rec = ledger.records.get(target)
-    best = rec.best() if rec is not None else None
-    if best is None or best[0] > max_hexes:
+    if rec is None:
         return SearchResult(False, None, None, True, ledger)
-    return SearchResult(True, *best, False, ledger)
+    return SearchResult(True, *rec.best(), False, ledger)
 
 
 def find_templates(max_hexes, options=None):
     """Codes reached with both parities within max_hexes, with witnesses.
 
     Each emitted hit is verified by replaying both witnesses and
-    re-extracting the boundary codes.  Slots beyond max_hexes, which a
-    deeper checkpoint holds, do not count.
+    re-extracting the boundary codes.
     """
     if options is None:
         options = SearchOptions()
@@ -393,8 +389,6 @@ def find_templates(max_hexes, options=None):
     hits = []
     for code, rec in sorted(ledger.records.items()):
         if rec.min_odd is None or rec.min_even is None:
-            continue
-        if max(rec.min_odd, rec.min_even) > max_hexes:
             continue
         for parity in ("odd", "even"):
             why = _slot_mismatch(rec, parity, options.reflection_invariant)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hexpack.fixtures import parity_even18, parity_odd17, pyramid36
-from hexpack.hexmodel import build_complex
+from hexpack.hexmodel import build_complex, extract_boundary
+from hexpack.moves import _realize, _seed_choices, config_components, glue_configs
 
 UNIT_CUBE_COORDS = np.array(
     [
@@ -64,3 +65,32 @@ def grid_complex(cells):
         [p for p, _ in sorted(ids.items(), key=lambda kv: kv[1])], dtype=float
     )
     return build_complex(hexes, len(ids)), coords
+
+
+def seedings(pattern, sphere_mode):
+    """Every (config, seeds, rotation) enumerate_moves tries on pattern."""
+    for cfg in glue_configs():
+        if sphere_mode and len(config_components(cfg)) > 1:
+            continue  # enumerate_moves never tries these in sphere mode
+        for seeds, rot in _seed_choices(cfg, len(pattern.quads)):
+            yield cfg, seeds, rot
+
+
+def all_moves(packing, pattern=None, *, sphere_mode=True, counters=None):
+    """Every legal placement on packing, uncoded, sorted by placement: the
+    full product that enumerate_moves keeps one placement per successor
+    code of.  counters counts as enumerate_moves' does, less "codes".
+    """
+    if pattern is None:
+        pattern = extract_boundary(packing)
+    out = []
+    for cfg, seeds, rot in seedings(pattern, sphere_mode):
+        if counters is not None:
+            counters["tried"] = counters.get("tried", 0) + 1
+        cand = _realize(
+            packing, pattern, cfg, seeds, rot,
+            sphere_mode=sphere_mode, counters=counters,
+        )
+        if cand is not None:
+            out.append(cand)
+    return sorted(out, key=lambda m: m.placement.sort_key())

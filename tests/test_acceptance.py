@@ -32,6 +32,8 @@ from hexpack.search import (
 )
 from hexpack.surface import canonical_code, pyramid16_pattern
 
+from conftest import all_moves
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -134,7 +136,7 @@ def test_criterion_4_oracle_equivalence(capsys):
             naive.setdefault(hexes, set()).add(canonical_code(pattern))
             if hexes == depth:
                 return
-            for m in enumerate_moves(packing, pattern, dedup_by_successor=False):
+            for m in all_moves(packing, pattern):
                 walk(m.complex, m.pattern, hexes + 1)
 
         start = initial_packing()

@@ -375,3 +375,5 @@ def test_usage_errors(capsys):
     assert run(capsys, "search")[0] == 2  # --target and --max-hexes required
     assert run(capsys, "export", "builtin:pyramid36", "-o", "x")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
+    # a grow order computes no code, so it takes no --no-reflection
+    assert run(capsys, "grow-order", "builtin:parity_odd17", "--no-reflection")[0] == 2

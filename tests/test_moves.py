@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import grid_complex
+from conftest import all_moves, grid_complex, seedings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,6 @@ from hexpack.moves import (
     Placement,
     _propagate,
     _realize,
-    _seed_choices,
     apply_move,
     config_by_id,
     config_components,
@@ -92,7 +91,7 @@ def test_every_proper_subset_classifies():
 
 def test_first_layer_moves_from_single_hex():
     start = initial_packing()
-    raw = [m.placement for m in enumerate_moves(start, dedup_by_successor=False)]
+    raw = [m.placement for m in all_moves(start)]
     assert len(raw) == 24  # 6 quads x 4 rotations, all equivalent
     assert {pl.config_id for pl in raw} == {1}
     dedup = [m.placement for m in enumerate_moves(start)]
@@ -103,8 +102,8 @@ def test_dedup_keeps_the_first_placement_per_successor_code():
     start = initial_packing()
     second, _ = apply_move(start, enumerate_moves(start)[0].placement)
     bare = {}
-    raw = enumerate_moves(second, dedup_by_successor=False, counters=bare)
-    # without dedup no code is computed and the order is by placement
+    raw = all_moves(second, counters=bare)
+    # the full product computes no code and is ordered by placement
     assert "codes" not in bare
     assert all(m.code == b"" for m in raw)
     keys = [m.placement.sort_key() for m in raw]
@@ -113,6 +112,8 @@ def test_dedup_keeps_the_first_placement_per_successor_code():
     dedup = enumerate_moves(second, counters=coded)
     assert coded["tried"] == bare["tried"]
     assert coded["codes"] == len(raw)
+    # the same seedings, rejected for the same reasons
+    assert {k: n for k, n in coded.items() if k != "codes"} == bare
     firsts = {}
     for m in raw:
         firsts.setdefault(canonical_code(m.pattern), m.placement)
@@ -123,7 +124,7 @@ def reference_dedup(packing, reflection_invariant):
     """enumerate_moves' kept (code, placement) pairs, from a full canonical
     code of every candidate: the first placement per code, by code."""
     firsts = {}
-    for m in enumerate_moves(packing, dedup_by_successor=False):
+    for m in all_moves(packing):
         firsts.setdefault(canonical_code(m.pattern, reflection_invariant), m.placement)
     return sorted(firsts.items())
 
@@ -163,10 +164,9 @@ def test_seedings_on_one_glued_quad_set_build_one_successor():
                 if rec.slot(parity) is None:
                     continue
                 groups = {}
-                for m in enumerate_moves(
+                for m in all_moves(
                     replay_witness(rec.witness(parity)),
                     sphere_mode=options.sphere_mode,
-                    dedup_by_successor=False,
                 ):
                     pl = m.placement
                     cfg = config_by_id(pl.config_id)
@@ -216,7 +216,7 @@ def test_layer_three_pattern_census():
 
 def test_apply_move_matches_enumerated_successor():
     start = initial_packing()
-    for m in enumerate_moves(start, dedup_by_successor=False):
+    for m in all_moves(start):
         c2, p2 = apply_move(start, m.placement)
         assert c2 == m.complex
         assert p2 == m.pattern
@@ -229,7 +229,7 @@ def test_quad_count_change_tracks_glued_faces():
     packing = initial_packing()
     for _ in range(6):
         pattern = extract_boundary(packing)
-        moves = enumerate_moves(packing, pattern, dedup_by_successor=False)
+        moves = all_moves(packing, pattern)
         m = rnd.choice(moves)
         k = config_by_id(m.placement.config_id).size
         assert len(m.pattern.quads) - len(pattern.quads) == 6 - 2 * k
@@ -255,7 +255,7 @@ def test_pocket_fill_uses_only_the_maximal_config():
         i for i, p in enumerate(coords) if all(1 <= c <= 2 for c in p)
     }
     assert len(cavity) == 8
-    moves = enumerate_moves(pocket, dedup_by_successor=False)
+    moves = all_moves(pocket)
     fills = [m for m in moves if set(m.complex.hexes[-1]) == cavity]
     assert len(fills) == 4  # one five-face glue, seen in 4 orientations
     assert {config_by_id(m.placement.config_id).size for m in fills} == {5}
@@ -263,9 +263,7 @@ def test_pocket_fill_uses_only_the_maximal_config():
     # join in (handle-adding two-opposite glues), but the aligned bridge
     # and the partial three-row and four-ring glues never do: each is the
     # five-face fill in disguise
-    free = enumerate_moves(
-        pocket, sphere_mode=False, dedup_by_successor=False
-    )
+    free = all_moves(pocket, sphere_mode=False)
     sizes = {}
     for m in free:
         if set(m.complex.hexes[-1]) == cavity:
@@ -286,9 +284,9 @@ def test_parity_alternates_along_any_witness():
 def test_sphere_mode_excludes_the_disconnected_config():
     start = initial_packing()
     col, _ = apply_move(start, enumerate_moves(start)[0].placement)
-    sphere = enumerate_moves(col, dedup_by_successor=False)
+    sphere = all_moves(col)
     assert all(m.placement.config_id != 2 for m in sphere)
-    free = enumerate_moves(col, sphere_mode=False, dedup_by_successor=False)
+    free = all_moves(col, sphere_mode=False)
     ring = [m.placement for m in free if m.placement.config_id == 2]
     assert ring
     # closing both ends of a bent column produces a solid torus
@@ -302,7 +300,7 @@ def test_torus_states_stay_legal_without_sphere_mode():
     col, _ = apply_move(start, enumerate_moves(start)[0].placement)
     pl = next(
         m.placement
-        for m in enumerate_moves(col, sphere_mode=False, dedup_by_successor=False)
+        for m in all_moves(col, sphere_mode=False)
         if m.placement.config_id == 2
     )
     torus, pattern = apply_move(col, pl)
@@ -344,7 +342,7 @@ def test_random_walks_preserve_invariants(seed):
     packing = initial_packing()
     for step in range(4):
         pattern = extract_boundary(packing)
-        moves = enumerate_moves(packing, pattern, dedup_by_successor=False)
+        moves = all_moves(packing, pattern)
         assert moves, "sphere-mode growth can always continue"
         m = rnd.choice(moves)
         # enumerated successor pattern agrees with an independent replay
@@ -399,9 +397,7 @@ def test_a_glue_leaves_the_predecessor_index_alone():
     ]
     for packing in states + [pocket_complex()[0]]:
         before = list(packing.face_index.items())
-        moves_seen = enumerate_moves(
-            packing, sphere_mode=False, dedup_by_successor=False
-        )
+        moves_seen = all_moves(packing, sphere_mode=False)
         assert moves_seen
         for cand in moves_seen:
             assert cand.complex.face_index is not packing.face_index
@@ -460,19 +456,14 @@ def whole_complex_rule(packing, pattern, cfg, seeds, sphere_mode):
 
 def assert_local_rule_matches_whole_complex_rule(packing, sphere_mode):
     pattern = extract_boundary(packing)
-    for cfg in glue_configs():
-        if sphere_mode and len(config_components(cfg)) > 1:
-            continue  # enumerate_moves never tries these in sphere mode
-        for seeds, rot in _seed_choices(cfg, len(pattern.quads)):
-            got = _realize(
-                packing, pattern, cfg, seeds, rot, sphere_mode=sphere_mode
-            )
-            want = whole_complex_rule(packing, pattern, cfg, seeds, sphere_mode)
-            assert (got is None) == (want is None), (cfg.name, seeds, sphere_mode)
-            if got is not None:
-                assert got.complex == want[0]
-                assert got.pattern.quads == tuple(want[1])
-                assert got.pattern == extract_boundary(got.complex)
+    for cfg, seeds, rot in seedings(pattern, sphere_mode):
+        got = _realize(packing, pattern, cfg, seeds, rot, sphere_mode=sphere_mode)
+        want = whole_complex_rule(packing, pattern, cfg, seeds, sphere_mode)
+        assert (got is None) == (want is None), (cfg.name, seeds, sphere_mode)
+        if got is not None:
+            assert got.complex == want[0]
+            assert got.pattern.quads == tuple(want[1])
+            assert got.pattern == extract_boundary(got.complex)
 
 
 @pytest.mark.parametrize("sphere_mode", [True, False])

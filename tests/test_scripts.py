@@ -16,12 +16,22 @@ def load_script(name):
     return module
 
 
-def test_pattern_census_prints_the_layers(capsys):
-    rc = load_script("pattern_census").main(["--max-hexes", "3"])
-    out = capsys.readouterr().out
-    assert rc == 0
+def test_pattern_census_prints_the_layers(tmp_path, capsys):
+    census = load_script("pattern_census")
+
+    def printed(*argv):
+        assert census.main(["--max-hexes", "3", *argv]) == 0
+        # all but the run time that ends the last line
+        return capsys.readouterr().out.rsplit(",", 1)[0]
+
+    out = printed()
     assert "layer  new patterns" in out
     assert "parity pairs within 3 hexes: 0" in out
+    assert out.endswith("total 5 patterns")
+    # a deeper checkpoint prints the fresh census of the budget
+    census.main(["--max-hexes", "5", "--checkpoint", str(tmp_path / "ck")])
+    assert "total 84 patterns" in capsys.readouterr().out
+    assert printed("--checkpoint", str(tmp_path / "ck")) == out
 
 
 def test_run_pyramid_search_exhausts_a_small_budget(tmp_path, capsys):
@@ -39,14 +49,19 @@ def test_run_pyramid_search_exhausts_a_small_budget(tmp_path, capsys):
     assert not witness.exists() and not mesh.exists()
 
 
-@pytest.mark.parametrize("configs", ["9", "x"])
+@pytest.mark.parametrize("bad", [
+    pytest.param(["--configs", "9"], id="9"),
+    pytest.param(["--configs", "x"], id="x"),
+    pytest.param(["--max-hexes", "0"], id="max-hexes-0"),
+])
 @pytest.mark.parametrize("script", ["run_pyramid_search", "pattern_census"])
-def test_run_pyramid_search_rejects_bad_configs(tmp_path, script, configs):
+def test_run_pyramid_search_rejects_bad_configs(tmp_path, capsys, script, bad):
     with pytest.raises(SystemExit) as err:
         load_script(script).main([
             "--max-hexes", "3",
-            "--configs", configs,
+            *bad,
             "--checkpoint", str(tmp_path / "ck"),
         ])
     assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "ck").exists()

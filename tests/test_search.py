@@ -353,14 +353,28 @@ def test_checkpoint_deeper_than_the_budget_answers_as_a_fresh_run(tmp_path):
     assert (resumed.found, resumed.count, resumed.exhausted) == (False, None, True)
 
     # without sphere mode two states reach both parities within 4 hexes
-    d = str(tmp_path / "torus")
-    build_ledger(4, SearchOptions(sphere_mode=False, checkpoint_dir=d))
+    torus = str(tmp_path / "torus")
+    build_ledger(4, SearchOptions(sphere_mode=False, checkpoint_dir=torus))
     for budget in (3, 4):
         resumed = find_templates(
-            budget, SearchOptions(sphere_mode=False, checkpoint_dir=d)
+            budget, SearchOptions(sphere_mode=False, checkpoint_dir=torus)
         )
         assert resumed == find_templates(budget, SearchOptions(sphere_mode=False))
     assert len(resumed) == 2
+
+    # the ledger itself is the fresh run's: the same layer and records,
+    # slot for slot and witness for witness; the checkpoint keeps its
+    # deeper layers
+    for directory, depth, sphere_mode in ((d, 5, True), (torus, 4, False)):
+        for budget in range(1, depth):
+            resumed = build_ledger(
+                budget,
+                SearchOptions(sphere_mode=sphere_mode, checkpoint_dir=directory),
+            )
+            fresh = build_ledger(budget, SearchOptions(sphere_mode=sphere_mode))
+            assert resumed.layer == fresh.layer == budget
+            assert resumed.records == fresh.records
+        assert load_checkpoint(directory).layer == depth
 
 
 # Grow orders of the bundled meshes as the whole-complex move check found

@@ -15,7 +15,7 @@ from hexpack.errors import (
     PinchedVertex,
 )
 from hexpack.hexmodel import build_complex, extract_boundary
-from hexpack.moves import Placement, enumerate_moves
+from hexpack.moves import Placement
 from hexpack.search import build_ledger, replay_witness
 from hexpack.surface import (
     CodeMemo,
@@ -29,6 +29,8 @@ from hexpack.surface import (
     pyramid16_pattern,
     relabel,
 )
+
+from conftest import all_moves
 
 
 def reference_best_emission(quads, directed, degree):
@@ -197,7 +199,7 @@ def test_codes_equal_the_reference_traversal():
             if count <= 4:
                 patterns.extend(
                     m.pattern
-                    for m in enumerate_moves(packing, dedup_by_successor=False)
+                    for m in all_moves(packing)
                 )
     assert len(patterns) > 1500
     for p in patterns:
