@@ -37,6 +37,11 @@ suite it starts, to one CPU.  It reports:
 - ``embed_iterations``: the optimizer's accepted steps on each mesh;
 - ``embed_sha256``: a digest of both meshes' start and final embedding
   bytes, iteration counts and stop reasons, the same in every pass;
+- ``pyramid_9_s``, ``pyramid_9_records`` and ``pyramid_9_peak_rss_mb``:
+  the pruned search toward ``pyramid16`` to 9 hexes
+  (``search_min_packing``, default options), run alone in a child
+  process that reads its own peak RSS, its ledger held to
+  ``PYRAMID_9_SHA256``;
 - ``criterion_4_s``, ``local_move_false_s`` and ``suite_s``: acceptance
   criterion 4, the ``[False]`` case of
   ``test_local_move_check_matches_whole_complex_check`` and the whole
@@ -56,6 +61,31 @@ PASSES = 3
 # build_ledger(7) in checkpoint layer-file form, as ledger_sha256 digests
 # it: 6 138 records.
 LEDGER_7_SHA256 = "fe3d740524672d0d573ecab99373a391d27c0521cdf66c7a6c614746fcb09099"
+# The pruned search toward pyramid16 to 9 hexes, digested the same way:
+# 64 577 records, none of them the target.
+PYRAMID_9_SHA256 = "6515bf59d65735449c038b275add5a69afd93a751ede6ae1cafe4514c7849243"
+
+# Run as `python -c PYRAMID_9 CHECKOUT`: a fresh process, so the peak RSS
+# it reads is the search's alone.
+PYRAMID_9 = """
+import json, resource, sys
+from time import perf_counter
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1]]
+import hexpack as hp
+from perfbench.workloads import ledger_sha256
+t = perf_counter()
+result = hp.search_min_packing(hp.pyramid16_pattern(), 9)
+s = perf_counter() - t
+# read before the digest, which builds every layer-file line at once
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({
+    "s": s,
+    "found": result.found,
+    "records": len(result.ledger.records),
+    "sha256": ledger_sha256(result.ledger),
+    "peak_rss_mb": peak_rss_mb,
+}))
+"""
 
 
 def main(argv=None):
@@ -190,6 +220,14 @@ def main(argv=None):
             "sha256": hashlib.sha256(b"|".join(got)).hexdigest(),
         }
 
+    child = subprocess.run(
+        [sys.executable, "-c", PYRAMID_9, str(root)],
+        capture_output=True, text=True, check=True,
+    )
+    pyramid_9 = json.loads(child.stdout)
+    if pyramid_9["found"] or pyramid_9["sha256"] != PYRAMID_9_SHA256:
+        raise SystemExit("the 9-hex pyramid16 search differs from its pinned digest")
+
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -218,6 +256,9 @@ def main(argv=None):
         "full_codes_6": full[0],
         "memo_calls_6": memo_calls[0],
         "codes": codes,
+        "pyramid_9_s": round(pyramid_9["s"], 2),
+        "pyramid_9_records": pyramid_9["records"],
+        "pyramid_9_peak_rss_mb": round(pyramid_9["peak_rss_mb"], 1),
         "criterion_4_s": float(crit.group(1)) if crit else None,
         "local_move_false_s": float(false_case.group(1)) if false_case else None,
         "suite_s": float(summary.group(2)) if summary else None,

@@ -46,7 +46,11 @@ def main(argv=None):
         if rec.min_odd is not None and rec.min_even is not None
     ]
     print(f"parity pairs within {args.max_hexes} hexes: {len(pairs)}")
-    for rec in sorted(pairs, key=lambda r: (max(r.min_odd, r.min_even))):
+    # fresh and resumed ledgers hold their records in different orders
+    for rec in sorted(
+        pairs,
+        key=lambda r: (max(r.min_odd, r.min_even), min(r.min_odd, r.min_even), r.code),
+    ):
         print(
             f"  quads {rec.quad_count}: odd at {rec.min_odd} hexes, "
             f"even at {rec.min_even} hexes"

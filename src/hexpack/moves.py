@@ -426,19 +426,21 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     return packing.glued(new_hex), SurfacePattern(succ_quads)
 
 
-def _realize(packing, pattern, cfg, seeds, rotation, *, sphere_mode,
-             counters=None, ids=None):
+def _realize(packing, pattern, cfg, seeds, *, sphere_mode, counters=None,
+             ids=None):
     """Validate one candidate attachment and build it: a MoveResult
     without a code, or None when it is not a legal move.
 
     This is the one path from a seeding to a placement: search, witness
-    replay and grow orders all reach glue_hex through it.  The seeds fix
-    the new hex's corners on the surface (propagate) and must put them
-    on distinct vertices (identification); every other rule is
-    glue_hex's.  Corners off the glued faces get new ids, or ids[c]
-    when ids is given (a grow order keeps the ids of the complex it
-    certifies).  counters, when given, counts the rejection under its
-    reason (one of REJECT_REASONS).
+    replay and grow orders all reach glue_hex through it.  seeds holds
+    one (face, quad index, rotation) per face component of cfg, first
+    component first; the placement packs their rotations
+    (encode_rotation).  The seeds fix the new hex's corners on the
+    surface (propagate) and must put them on distinct vertices
+    (identification); every other rule is glue_hex's.  Corners off the
+    glued faces get new ids, or ids[c] when ids is given (a grow order
+    keeps the ids of the complex it certifies).  counters, when given,
+    counts the rejection under its reason (one of REJECT_REASONS).
     """
     res = _propagate(pattern, cfg.faces, seeds)
     if res is None:
@@ -463,22 +465,22 @@ def _realize(packing, pattern, cfg, seeds, rotation, *, sphere_mode,
     if grown is None:
         return None
     placement = Placement(
-        cfg.id, tuple(targets[f] for f in cfg.faces), rotation
+        cfg.id,
+        tuple(targets[f] for f in cfg.faces),
+        encode_rotation(r for _, _, r in seeds),
     )
     return MoveResult(placement, *grown, b"")
 
 
 def _seed_choices(cfg, nquads):
-    """Every seeding of a config, with its packed rotation: the first
-    face of each face component on a quad of its own, at a rotation."""
+    """Every seeding of a config, as _realize's seeds: the first face of
+    each face component on a quad of its own, at a rotation.  _realize
+    packs the placement's rotation from the seeds themselves."""
     firsts = [comp[0] for comp in _COMPONENTS[cfg.id]]
-    rotations = [
-        (rots, encode_rotation(rots))
-        for rots in itertools.product(range(4), repeat=len(firsts))
-    ]
+    rotations = list(itertools.product(range(4), repeat=len(firsts)))
     for quads in itertools.permutations(range(nquads), len(firsts)):
-        for rots, rotation in rotations:
-            yield tuple(zip(firsts, quads, rots)), rotation
+        for rots in rotations:
+            yield tuple(zip(firsts, quads, rots))
 
 
 def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
@@ -488,7 +490,9 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
 
     Each result carries its successor's canonical code, and of the
     placements that reach one code only the first, by
-    Placement.sort_key, is kept; the results are sorted by code.  The
+    Placement.sort_key, is kept; the results are sorted by code.  So
+    build_ledger, expanding states in code order, writes each slot's
+    smallest (predecessor, placement) first and keeps that write.  The
     pattern argument must be extract_boundary(packing) (it is computed
     when omitted).  The codes come from memo, a surface.CodeMemo (a
     fresh CodeMemo() when omitted), whose reflection mode decides
@@ -517,11 +521,11 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
         if sphere_mode and not one_piece:
             # gluing two disjoint quads of one sphere always adds a handle
             continue
-        for seeds, rot in _seed_choices(cfg, nquads):
+        for seeds in _seed_choices(cfg, nquads):
             if counters is not None:
                 counters["tried"] = counters.get("tried", 0) + 1
             cand = _realize(
-                packing, pattern, cfg, seeds, rot,
+                packing, pattern, cfg, seeds,
                 sphere_mode=sphere_mode, counters=counters,
             )
             if cand is None:
@@ -570,10 +574,8 @@ def apply_move(packing, placement, pattern=None):
         (comp[0], by_face[comp[0]], r)
         for comp, r in zip(_COMPONENTS[cfg.id], rots)
     )
-    cand = _realize(
-        packing, pattern, cfg, seeds, placement.rotation, sphere_mode=False
-    )
-    if cand is None or cand.placement.quads != placement.quads:
+    cand = _realize(packing, pattern, cfg, seeds, sphere_mode=False)
+    if cand is None or cand.placement != placement:
         raise InvalidPlacement(
             f"placement {placement.token()} does not fit this packing"
         )

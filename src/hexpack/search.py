@@ -4,8 +4,11 @@ Packings grow one hex at a time from the single-hex start.  States are
 deduplicated by the canonical code of their boundary pattern; for each
 code the ledger keeps, per parity of the hex count, the smallest count
 reaching it plus one witness (the move sequence).  Expansion is layer
-synchronous and merged in a deterministic order, so the ledger can be
-checkpointed at layer boundaries and resumed losslessly.
+synchronous: a layer's states expand in code order, and a successor's
+slot is written once, by the first state to reach it, with that state's
+smallest placement for it.  So each slot's witness is its smallest
+(predecessor code, placement), the ledger is deterministic, and it can
+be checkpointed at layer boundaries and resumed losslessly.
 
 A record's packing is reconstructed from its witness when the record's
 layer is expanded; packings other than the retained witness are not
@@ -35,7 +38,6 @@ from .moves import (
     apply_move,
     config_components,
     config_for_subset,
-    encode_rotation,
     enumerate_moves,
     glue_configs,
     initial_packing,
@@ -250,6 +252,11 @@ def _fresh_ledger(options):
 def build_ledger(max_hexes, options=None, target=None, progress=None):
     """Run the layered search up to max_hexes; returns the ledger.
 
+    Each layer is one pass over the records in code order: a state of
+    the layer is pruned, or replayed from its witness and expanded with
+    enumerate_moves, and each successor's next-parity slot is written
+    only while it is empty.
+
     With a target code the loop additionally stops at the first layer
     containing the target, and admissible pruning skips states that
     cannot reach the target's quad count in the remaining budget of
@@ -303,13 +310,18 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
         save_checkpoint(ledger, options.checkpoint_dir)
 
     target_quads = code_quad_count(target) if target is not None else None
+    allowed = set(options.allowed_configs)
 
     while ledger.layer < max_hexes:
         layer = ledger.layer
         if target in ledger.records:  # a record always holds a slot
             break
-        parity = parity_word(layer)
-        work = {}  # code -> witness of each state to expand
+        parity, next_parity = parity_word(layer), parity_word(layer + 1)
+        memo = CodeMemo(options.reflection_invariant)
+        # States expand in code order, and enumerate_moves hands out each
+        # successor once, with its smallest placement; so the first write
+        # of a successor's slot is its smallest (predecessor code,
+        # placement), the one witness the slot keeps.
         for code, rec in sorted(ledger.records.items()):
             if rec.slot(parity) != layer:
                 continue
@@ -320,36 +332,23 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
             ):
                 ledger.stats.pruned += 1
                 continue
-            work[code] = rec.witness(parity)
-
-        proposals = []
-        memo = CodeMemo(options.reflection_invariant)
-        allowed = set(options.allowed_configs)
-        for code, witness in work.items():
-            packing, pattern = _replay(witness)
+            witness = rec.witness(parity)
             counters = {}
             cands = enumerate_moves(
-                packing, pattern, allowed, sphere_mode=options.sphere_mode,
+                *_replay(witness), allowed, sphere_mode=options.sphere_mode,
                 counters=counters, memo=memo,
             )
-            proposals.extend((cand.code, code, cand.placement) for cand in cands)
+            ledger.stats.states_expanded += 1
             ledger.stats.add_counters(counters)
             ledger.stats.moves_valid += len(cands)
-        ledger.stats.states_expanded += len(work)
-
-        next_parity = parity_word(layer + 1)
-        proposals.sort(key=lambda t: (t[0], t[1], t[2].sort_key()))
-        for succ_code, pred_code, placement in proposals:
-            rec = ledger.records.get(succ_code)
-            if rec is None:
-                rec = PatternRecord(succ_code)
-                ledger.records[succ_code] = rec
-            if rec.slot(next_parity) is None:
-                rec.set_slot(
-                    next_parity,
-                    layer + 1,
-                    work[pred_code] + (placement,),
-                )
+            for cand in cands:
+                succ = ledger.records.get(cand.code)
+                if succ is None:
+                    succ = ledger.records[cand.code] = PatternRecord(cand.code)
+                if succ.slot(next_parity) is None:
+                    succ.set_slot(
+                        next_parity, layer + 1, witness + (cand.placement,)
+                    )
         ledger.layer = layer + 1
         if options.checkpoint_dir:
             save_checkpoint(ledger, options.checkpoint_dir)
@@ -509,7 +508,7 @@ def find_grow_order(c, options=None):
                 a, b = HEX_FACES[f0][:2]
                 seeds.append((f0, *pattern.directed_edges[corners[a], corners[b]]))
             move = _realize(
-                sub, pattern, cfg, seeds, encode_rotation(r for *_, r in seeds),
+                sub, pattern, cfg, seeds,
                 sphere_mode=options.sphere_mode, ids=corners,
             )
             if move is None:
@@ -579,7 +578,7 @@ def _write_atomic(path, text):
     os.replace(tmp, path)
 
 
-def save_checkpoint(ledger, directory=None):
+def save_checkpoint(ledger, directory):
     """Write the ledger as manifest + per-layer record files.
 
     Layer file n holds every record slot first written at layer n, one
@@ -587,10 +586,6 @@ def save_checkpoint(ledger, directory=None):
     tokens ('-' when empty).  The manifest is written last, so a
     checkpoint is valid iff its manifest is.
     """
-    if directory is None:
-        directory = ledger.options.checkpoint_dir
-    if not directory:
-        raise ValueError("no checkpoint directory")
     os.makedirs(directory, exist_ok=True)
     by_layer = {}
     for code, rec in sorted(ledger.records.items()):

@@ -11,11 +11,12 @@ for two patterns exactly when they are isomorphic as combinatorial maps
 (by default also identifying mirror images).  Each code is computed on a
 flat half-edge table built for that call (see _half_edge_table): quad i
 holds half-edges 4*i .. 4*i + 3, so the traversal runs on list indexing
-alone.  The table is not kept on the pattern, because no pattern is
-coded twice and the search holds many patterns at once.  A CodeMemo,
-made for one reflection mode, hands out the same codes but codes each
-isomorphism class in full once; it tests a pattern against a known code
-with the same walk (_walk) that computes codes.
+alone.  A CodeMemo, made for one reflection mode, hands out the same
+codes but codes each isomorphism class in full once; it tests a pattern
+against a known code with the same walk (_walk) that computes codes.
+The table is not kept on the pattern, because the search holds many
+patterns at once; so a pattern that a CodeMemo codes in full has its
+table built twice, once by the memo and once by canonical_code.
 """
 
 from __future__ import annotations
@@ -68,13 +69,6 @@ class SurfacePattern:
             for i in range(4):
                 out[(q[i], q[(i + 1) % 4])] = (qi, i)
         return out
-
-    @property
-    def quad_count(self):
-        return len(self.quads)
-
-    def __len__(self):
-        return len(self.quads)
 
     def __eq__(self, other):
         if not isinstance(other, SurfacePattern):

@@ -68,12 +68,12 @@ def grid_complex(cells):
 
 
 def seedings(pattern, sphere_mode):
-    """Every (config, seeds, rotation) enumerate_moves tries on pattern."""
+    """Every (config, seeds) enumerate_moves tries on pattern."""
     for cfg in glue_configs():
         if sphere_mode and len(config_components(cfg)) > 1:
             continue  # enumerate_moves never tries these in sphere mode
-        for seeds, rot in _seed_choices(cfg, len(pattern.quads)):
-            yield cfg, seeds, rot
+        for seeds in _seed_choices(cfg, len(pattern.quads)):
+            yield cfg, seeds
 
 
 def all_moves(packing, pattern=None, *, sphere_mode=True, counters=None):
@@ -84,11 +84,11 @@ def all_moves(packing, pattern=None, *, sphere_mode=True, counters=None):
     if pattern is None:
         pattern = extract_boundary(packing)
     out = []
-    for cfg, seeds, rot in seedings(pattern, sphere_mode):
+    for cfg, seeds in seedings(pattern, sphere_mode):
         if counters is not None:
             counters["tried"] = counters.get("tried", 0) + 1
         cand = _realize(
-            packing, pattern, cfg, seeds, rot,
+            packing, pattern, cfg, seeds,
             sphere_mode=sphere_mode, counters=counters,
         )
         if cand is not None:

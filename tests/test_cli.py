@@ -12,10 +12,11 @@ from hexpack.formats import (
     parse_witness,
     write_coords,
     write_mesh,
+    write_pattern,
 )
 from hexpack.hexmodel import classify_vertices, extract_boundary
 from hexpack.search import replay_witness
-from hexpack.surface import canonical_code
+from hexpack.surface import canonical_code, cube_pattern
 
 
 def run(capsys, *argv):
@@ -143,6 +144,22 @@ def test_search_finds_the_single_cube(tmp_path, capsys):
     assert rc == 0
     assert "found: 1 hexes" in out
     assert parse_witness(out_path.read_text()) == ()
+
+
+def test_search_reads_a_target_pattern_file(tmp_path, capsys):
+    target = tmp_path / "cube.quadpattern"
+    target.write_text(write_pattern(cube_pattern()))
+    rc, out, _ = run(
+        capsys, "search", "--target", str(target), "--max-hexes", "1"
+    )
+    assert rc == 0
+    assert "found: 1 hexes" in out
+    target.write_text("quadpattern 6\n3 2 1\n")
+    rc, _, err = run(
+        capsys, "search", "--target", str(target), "--max-hexes", "1"
+    )
+    assert rc == 2
+    assert "error: expected 6 data lines" in err
 
 
 def test_search_exhausts_small_budget(capsys):
@@ -321,6 +338,18 @@ def test_subdivide_multiplies_hexes_by_eight(tmp_path, capsys):
     fine, fine_coords = parse_mesh(out_path.read_text())
     assert len(fine.hexes) == 288
     assert fine_coords is not None
+
+
+def test_subdivide_a_mesh_without_coordinates(tmp_path, capsys):
+    out_path = tmp_path / "fine.hexmesh"
+    rc, out, _ = run(
+        capsys, "subdivide", "builtin:parity_odd17", "-o", str(out_path)
+    )
+    assert rc == 0
+    assert "hexes: 17 -> 136" in out
+    fine, fine_coords = parse_mesh(out_path.read_text())
+    assert len(fine.hexes) == 136
+    assert fine_coords is None
 
 
 def test_export_vtk_and_obj(tmp_path, capsys):

@@ -456,8 +456,8 @@ def whole_complex_rule(packing, pattern, cfg, seeds, sphere_mode):
 
 def assert_local_rule_matches_whole_complex_rule(packing, sphere_mode):
     pattern = extract_boundary(packing)
-    for cfg, seeds, rot in seedings(pattern, sphere_mode):
-        got = _realize(packing, pattern, cfg, seeds, rot, sphere_mode=sphere_mode)
+    for cfg, seeds in seedings(pattern, sphere_mode):
+        got = _realize(packing, pattern, cfg, seeds, sphere_mode=sphere_mode)
         want = whole_complex_rule(packing, pattern, cfg, seeds, sphere_mode)
         assert (got is None) == (want is None), (cfg.name, seeds, sphere_mode)
         if got is not None:

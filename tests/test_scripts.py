@@ -34,6 +34,32 @@ def test_pattern_census_prints_the_layers(tmp_path, capsys):
     assert printed("--checkpoint", str(tmp_path / "ck")) == out
 
 
+def test_pattern_census_lists_tied_parity_pairs_in_code_order(monkeypatch, capsys):
+    # no parity pair exists within 6 hexes, so forge three on real codes
+    # of distinct quad counts; a resumed ledger keeps its layer files'
+    # record order, so the listing must not follow the insertion order
+    from hexpack.search import PatternRecord, SearchLedger, SearchOptions, build_ledger
+
+    census = load_script("pattern_census")
+    by_quads = {rec.quad_count: code for code, rec in build_ledger(3).records.items()}
+    codes = sorted(by_quads.values())[:3]
+    slots = {codes[0]: (5, 6), codes[1]: (3, 6), codes[2]: (5, 6)}
+    quads = [PatternRecord(code).quad_count for code in codes]
+    want = [
+        f"  quads {quads[1]}: odd at 3 hexes, even at 6 hexes",
+        f"  quads {quads[0]}: odd at 5 hexes, even at 6 hexes",
+        f"  quads {quads[2]}: odd at 5 hexes, even at 6 hexes",
+    ]
+    for order in ((2, 0, 1), (1, 2, 0)):
+        records = {codes[i]: PatternRecord(codes[i], *slots[codes[i]]) for i in order}
+        ledger = SearchLedger(records=records, layer=6, options=SearchOptions())
+        monkeypatch.setattr(census, "build_ledger", lambda *args: ledger)
+        assert census.main(["--max-hexes", "6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("parity pairs within 6 hexes: 3") + 1
+        assert lines[start:start + 3] == want
+
+
 def test_run_pyramid_search_exhausts_a_small_budget(tmp_path, capsys):
     witness, mesh = tmp_path / "p.witness", tmp_path / "p.hexmesh"
     rc = load_script("run_pyramid_search").main([

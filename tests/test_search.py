@@ -1,11 +1,12 @@
 import hashlib
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
 from hexpack.errors import CheckpointCorrupt, VersionMismatch
-from hexpack.hexmodel import build_complex, extract_boundary, hex_parity
+from hexpack.hexmodel import build_complex, extract_boundary, hex_parity, parity_word
 from hexpack.moves import (
     REJECT_REASONS,
     apply_move,
@@ -25,6 +26,7 @@ from hexpack.search import (
     verify_template,
 )
 from hexpack.surface import (
+    CodeMemo,
     canonical_code,
     code_quad_count,
     cube_pattern,
@@ -283,6 +285,91 @@ def test_checkpoint_without_pruning_resumes_for_any_target(tmp_path):
         build_ledger(4, SearchOptions(checkpoint_dir=d))
 
 
+def _manifest(edit):
+    """Damage that rewrites the manifest as edit(manifest) leaves it."""
+    import json
+
+    def damage(d):
+        path = os.path.join(d, "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        edit(manifest)
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+
+    return damage
+
+
+def _first_record(edit):
+    """Damage that replaces layer 3's first record line by the lines
+    edit(code, parity, count, tokens) returns."""
+
+    def damage(d):
+        path = os.path.join(d, "layer_003.records")
+        with open(path) as fh:
+            first, *rest = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join(edit(*first.split()) + rest) + "\n")
+
+    return damage
+
+
+@pytest.mark.parametrize("damage, error, match", [
+    pytest.param(
+        lambda d: Path(d, "manifest.json").unlink(),
+        CheckpointCorrupt, "no manifest", id="no-manifest",
+    ),
+    pytest.param(
+        lambda d: Path(d, "manifest.json").write_text("{layer"),
+        CheckpointCorrupt, "not valid JSON", id="manifest-not-json",
+    ),
+    pytest.param(
+        _manifest(lambda m: m.update(code_layout_version=99)),
+        VersionMismatch, "code layout 99", id="code-layout-version",
+    ),
+    pytest.param(
+        _manifest(lambda m: m.pop("layer")),
+        CheckpointCorrupt, "bad manifest", id="no-layer",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"zz{c} {p} {n} {t}"]),
+        CheckpointCorrupt, "bad code", id="bad-code",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"{c} even {n} {t}"]),
+        CheckpointCorrupt, "parity does not match", id="parity-against-count",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"{c} {p} 5 {t}"]),
+        CheckpointCorrupt, "count 5 in layer-3 file", id="count-in-another-layer",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"{c} {p} {n} 1:0;{t}"]),
+        CheckpointCorrupt, "bad placement token", id="bad-placement-token",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"{c} {p} {n} {t.split(';')[0]}"]),
+        CheckpointCorrupt, "witness length 1 for count 3", id="short-witness",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"{c} {p} {n} {t}"] * 2),
+        CheckpointCorrupt, "duplicate odd slot", id="duplicate-slot",
+    ),
+])
+def test_checkpoint_refuses_damage(tmp_path, damage, error, match):
+    d = str(tmp_path / "ck")
+    fresh = build_ledger(3, SearchOptions(checkpoint_dir=d))
+    damage(d)
+    with pytest.raises(error, match=match):
+        load_checkpoint(d)
+    if os.path.exists(os.path.join(d, "manifest.json")):
+        with pytest.raises(error, match=match):
+            build_ledger(4, SearchOptions(checkpoint_dir=d))
+    else:  # no manifest, no checkpoint: the run starts afresh
+        resumed = build_ledger(3, SearchOptions(checkpoint_dir=d))
+        assert resumed.records == fresh.records
+
+
 def test_checkpoint_missing_layer_file(tmp_path):
     d = str(tmp_path / "ck")
     build_ledger(2, SearchOptions(checkpoint_dir=d))
@@ -536,6 +623,42 @@ def test_stats_are_consistent():
     assert ledger.stats.states_expanded == 2  # one expansion per layer 1, 2
     assert ledger.stats.moves_valid <= ledger.stats.moves_tried
     assert ledger.stats.moves_valid > 0
+
+
+@pytest.mark.parametrize("options, depth", [
+    pytest.param(SearchOptions(), 5, id="sphere"),
+    pytest.param(
+        SearchOptions(sphere_mode=False, reflection_invariant=False), 4,
+        id="non-sphere-plain",
+    ),
+])
+def test_each_slot_keeps_its_smallest_predecessor_and_placement(options, depth):
+    # the reference merge: sort every (successor, predecessor, placement)
+    # a layer proposes and keep the first per successor slot the layer fills
+    ledger = build_ledger(depth, options)
+    want = {}
+    for n in range(1, depth):
+        parity, proposals = parity_word(n), []
+        for code, rec in ledger.records.items():
+            if rec.slot(parity) != n:
+                continue
+            for m in enumerate_moves(
+                replay_witness(rec.witness(parity)),
+                sphere_mode=options.sphere_mode,
+                memo=CodeMemo(options.reflection_invariant),
+            ):
+                witness = rec.witness(parity) + (m.placement,)
+                proposals.append((m.code, code, m.placement.sort_key(), witness))
+        for succ, _, _, witness in sorted(proposals, key=lambda t: t[:3]):
+            if ledger.records[succ].slot(parity_word(n + 1)) == n + 1:
+                want.setdefault((succ, n + 1), witness)
+    got = {
+        (code, rec.slot(p)): rec.witness(p)
+        for code, rec in ledger.records.items()
+        for p in ("odd", "even")
+        if rec.slot(p) not in (None, 1)
+    }
+    assert got == want
 
 
 def test_every_candidate_is_rejected_for_a_reason_or_coded(tmp_path):
