@@ -13,6 +13,8 @@ suite it starts, to one CPU.  It reports:
   ``build_ledger(7)`` in process, each ledger held to its pinned digest
   (``CENSUS_SHA256`` in ``perfbench/workloads.py``, ``LEDGER_7_SHA256``
   here);
+- ``ns_ledger_5_s``: ``build_ledger(5)`` without sphere mode (default
+  reflection), its ledger held to ``NS_LEDGER_5_SHA256``;
 - ``full_codes_6``: the ``canonical_code`` calls ``build_ledger(6)``
   makes, through whichever module's binding;
 - ``memo_calls_6``: the ``CodeMemo.code`` calls ``build_ledger(6)``
@@ -61,6 +63,9 @@ PASSES = 3
 # build_ledger(7) in checkpoint layer-file form, as ledger_sha256 digests
 # it: 6 138 records.
 LEDGER_7_SHA256 = "fe3d740524672d0d573ecab99373a391d27c0521cdf66c7a6c614746fcb09099"
+# build_ledger(5, SearchOptions(sphere_mode=False)), digested the same
+# way: 4 789 records.
+NS_LEDGER_5_SHA256 = "17a07406b2b707676bfc72bf050853847c8214a709437fb4c7a8f3682b59bc41"
 # The pruned search toward pyramid16 to 9 hexes, digested the same way:
 # 64 577 records, none of them the target.
 PYRAMID_9_SHA256 = "6515bf59d65735449c038b275add5a69afd93a751ede6ae1cafe4514c7849243"
@@ -96,7 +101,7 @@ def main(argv=None):
     sys.path[:0] = [str(root / "src"), str(root)]
     import hexpack as hp
     import hexpack.moves as moves
-    from hexpack.search import _replay, build_ledger
+    from hexpack.search import SearchOptions, _replay, build_ledger
     from hexpack.surface import CodeMemo, SurfacePattern, canonical_code
     from perfbench.workloads import CENSUS_SHA256, ledger_sha256
 
@@ -115,6 +120,12 @@ def main(argv=None):
                 if rec.slot(parity) is not None
             ]
         del ledger
+    t = perf_counter()
+    ledger = build_ledger(5, SearchOptions(sphere_mode=False))
+    timed["ns_5"] = perf_counter() - t
+    if ledger_sha256(ledger) != NS_LEDGER_5_SHA256:
+        raise SystemExit("non-sphere build_ledger(5) differs from its pinned digest")
+    del ledger
 
     def replay_slots():
         for code, witness in slots:
@@ -180,9 +191,9 @@ def main(argv=None):
             coded.append(cand.pattern.quads)
         return cand
 
-    def counting_code(pattern, reflection_invariant=True):
+    def counting_code(pattern, reflection_invariant=True, **table):
         full[0] += 1
-        return canonical_code(pattern, reflection_invariant)
+        return canonical_code(pattern, reflection_invariant, **table)
 
     plain_memo_code = CodeMemo.code
 
@@ -246,6 +257,7 @@ def main(argv=None):
         "python": sys.version.split()[0],
         "build_ledger_6_s": round(timed[6], 2),
         "build_ledger_7_s": round(timed[7], 2),
+        "ns_ledger_5_s": round(timed["ns_5"], 2),
         "replay_6_slots": len(slots),
         "replay_6_s": round(timed["replay_6"], 2),
         "grow_orders_s": round(timed["grow_orders"], 2),

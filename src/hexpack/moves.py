@@ -31,7 +31,7 @@ from .surface import CodeMemo, SurfacePattern
 
 # Why _realize turned a candidate down, in the order it checks; each is
 # a key of the counters dict that enumerate_moves fills.
-REJECT_REASONS = ("propagate", "identification", "euler", "conformity")
+REJECT_REASONS = ("propagate", "orbit", "identification", "euler", "conformity")
 
 
 def _isometries():
@@ -175,6 +175,55 @@ def _build_configs():
 
 _CONFIGS = _build_configs()
 _COMPONENTS = {cfg.id: _components(cfg.faces) for cfg in _CONFIGS}
+# The rotations other than the identity that map a config's face set
+# onto itself, as (corner permutation, face permutation) pairs.  With the
+# identity there are 4, 8, 2, 2, 3, 2, 8 and 4 of them for configs 1..8.
+_STABILIZERS = {
+    cfg.id: tuple(
+        (vperm, fperm)
+        for vperm, fperm in zip(ROTATIONS, ROTATION_FACE_PERMS)
+        if vperm != tuple(range(8))
+        and sorted(fperm[f] for f in cfg.faces) == list(cfg.faces)
+    )
+    for cfg in _CONFIGS
+}
+
+
+def _orbit_tables(cfg):
+    """(rotations, mates): how enumerate_moves realizes one seeding per
+    orbit of cfg's stabilizer.
+
+    A stabilizer element sigma turns a seeding into its mate, which
+    builds the same hex with corner c where the seeding puts sigma(c),
+    so face f on the quad of face sigma(f).  An element that fixes every
+    face of cfg only turns each component's first face by a fixed step,
+    whatever the surface: rotations lists the seed rotation tuples that
+    no such turn makes smaller (by encode_rotation).  Every other element
+    moves some face to another quad, so its mate has other quads: mates
+    holds its face images, sigma(f) for f in cfg.faces.  A seeding is
+    the smallest placement of its orbit when its rotations are listed
+    and no mate's quads are smaller.
+    """
+    firsts = [comp[0] for comp in _COMPONENTS[cfg.id]]
+    turns, mates = [], []
+    for vperm, fperm in _STABILIZERS[cfg.id]:
+        img = tuple(fperm[f] for f in cfg.faces)
+        if img == cfg.faces:
+            turns.append(
+                [HEX_FACES[f0].index(vperm[HEX_FACES[f0][0]]) for f0 in firsts]
+            )
+        else:
+            mates.append(img)
+    rotations = tuple(
+        rots
+        for rots in itertools.product(range(4), repeat=len(firsts))
+        if all(
+            encode_rotation((r + k) % 4 for r, k in zip(rots, ks))
+            > encode_rotation(rots)
+            for ks in turns
+        )
+    )
+    return rotations, tuple(mates)
 
 
 @functools.cache
@@ -427,7 +476,7 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
 
 
 def _realize(packing, pattern, cfg, seeds, *, sphere_mode, counters=None,
-             ids=None):
+             ids=None, mates=()):
     """Validate one candidate attachment and build it: a MoveResult
     without a code, or None when it is not a legal move.
 
@@ -439,13 +488,22 @@ def _realize(packing, pattern, cfg, seeds, *, sphere_mode, counters=None,
     surface (propagate) and must put them on distinct vertices
     (identification); every other rule is glue_hex's.  Corners off the
     glued faces get new ids, or ids[c] when ids is given (a grow order
-    keeps the ids of the complex it certifies).  counters, when given,
-    counts the rejection under its reason (one of REJECT_REASONS).
+    keeps the ids of the complex it certifies).  mates, from
+    enumerate_moves, lists the face images of stabilizer elements of
+    cfg (see _orbit_tables); a seeding that one of them turns into a
+    placement on smaller quads builds the same hex as that placement
+    and is rejected under "orbit" once propagated.  counters, when
+    given, counts the rejection under its reason (one of
+    REJECT_REASONS).
     """
     res = _propagate(pattern, cfg.faces, seeds)
     if res is None:
         return _reject(counters, "propagate")
     m, targets = res
+    quads = tuple(targets[f] for f in cfg.faces)
+    for img in mates:
+        if tuple(targets[f] for f in img) < quads:
+            return _reject(counters, "orbit")
     if len(set(m.values())) != len(m):
         # two cube corners forced onto one surface vertex
         return _reject(counters, "identification")
@@ -464,20 +522,21 @@ def _realize(packing, pattern, cfg, seeds, *, sphere_mode, counters=None,
     )
     if grown is None:
         return None
-    placement = Placement(
-        cfg.id,
-        tuple(targets[f] for f in cfg.faces),
-        encode_rotation(r for _, _, r in seeds),
-    )
-    return MoveResult(placement, *grown, b"")
+    rotation = encode_rotation(r for _, _, r in seeds)
+    return MoveResult(Placement(cfg.id, quads, rotation), *grown, b"")
 
 
-def _seed_choices(cfg, nquads):
+_ORBITS = {cfg.id: _orbit_tables(cfg) for cfg in _CONFIGS}
+
+
+def _seed_choices(cfg, nquads, rotations=None):
     """Every seeding of a config, as _realize's seeds: the first face of
-    each face component on a quad of its own, at a rotation.  _realize
+    each face component on a quad of its own, at a rotation (each tuple
+    of rotations, per component, unless rotations lists some).  _realize
     packs the placement's rotation from the seeds themselves."""
     firsts = [comp[0] for comp in _COMPONENTS[cfg.id]]
-    rotations = list(itertools.product(range(4), repeat=len(firsts)))
+    if rotations is None:
+        rotations = list(itertools.product(range(4), repeat=len(firsts)))
     for quads in itertools.permutations(range(nquads), len(firsts)):
         for rots in rotations:
             yield tuple(zip(firsts, quads, rots))
@@ -498,14 +557,19 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
     fresh CodeMemo() when omitted), whose reflection mode decides
     whether mirror images share a code: only the first successor of
     each isomorphism class the memo meets is coded in full, so callers
-    share one memo across the states of a layer.  Within one call the
-    candidates of a one-component config share one code per glued-quad
-    set: only the first of them asks the memo.  Each two-opposite
-    candidate asks it.  counters, if given, is a dict whose "tried"
-    entry is incremented per candidate seeding examined; each rejected
-    seeding also counts under its reason (see REJECT_REASONS) and each
-    successor coded, in full, through the memo or by its quad set,
-    under "codes".
+    share one memo across the states of a layer.
+
+    Seedings that differ by a rotation of the cube mapping the config's
+    face set to itself build one hex, so only the smallest placement of
+    each such orbit is realized and coded (see _orbit_tables): the
+    seed rotations that a turn of the glued faces makes smaller are
+    never tried, and _realize rejects the other seedings with a
+    smaller mate under "orbit".  A code's smallest placement is the
+    smallest of its orbit, so it is kept as before.  counters, if
+    given, is a dict whose "tried" entry is incremented per seeding
+    handed to _realize; each rejected seeding also counts under its
+    reason (see REJECT_REASONS) and each realized one, which asks the
+    memo once, under "codes".
     """
     if pattern is None:
         pattern = extract_boundary(packing)
@@ -513,34 +577,26 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
         memo = CodeMemo()
     nquads = len(pattern.quads)
     kept = {}  # successor code -> its first candidate
-    codes = {}  # successor codes of this state, by glued quads
     for cfg in _CONFIGS:
         if allowed is not None and cfg.id not in allowed:
             continue
-        one_piece = len(_COMPONENTS[cfg.id]) == 1
-        if sphere_mode and not one_piece:
+        if sphere_mode and len(_COMPONENTS[cfg.id]) > 1:
             # gluing two disjoint quads of one sphere always adds a handle
             continue
-        for seeds in _seed_choices(cfg, nquads):
+        rotations, mates = _ORBITS[cfg.id]
+        for seeds in _seed_choices(cfg, nquads, rotations):
             if counters is not None:
                 counters["tried"] = counters.get("tried", 0) + 1
             cand = _realize(
                 packing, pattern, cfg, seeds,
-                sphere_mode=sphere_mode, counters=counters,
+                sphere_mode=sphere_mode, counters=counters, mates=mates,
             )
             if cand is None:
                 continue
-            # A connected face set on given quads fixes the new hex up to
-            # a rotation of that face set, so the successors differ only
-            # in the ids of the new corners.  Two opposite faces can turn
-            # apart, so their seedings key by placement.
-            pl = cand.placement
-            key = (cfg.id, frozenset(pl.quads)) if one_piece else pl
-            code = codes.get(key)
-            if code is None:
-                code = codes[key] = memo.code(cand.pattern)
+            code = memo.code(cand.pattern)
             if counters is not None:
                 counters["codes"] = counters.get("codes", 0) + 1
+            pl = cand.placement
             first = kept.get(code)
             if first is None or pl.sort_key() < first.placement.sort_key():
                 kept[code] = MoveResult(pl, cand.complex, cand.pattern, code)

@@ -84,12 +84,14 @@ class SearchStats:
     under its reason (rejected_<reason>, see moves.REJECT_REASONS), or
     gets its successor code, so moves_tried equals codes_computed plus
     every rejected_* count; moves_valid counts the distinct successors
-    each expansion proposed.  codes_computed counts a code per
-    candidate, although a state's candidates of one config on one
-    glued-quad set share one memo lookup unless the config is
-    two-opposite (see moves.enumerate_moves), and only the first
-    successor of each isomorphism class in a layer is coded in full
-    (see surface.CodeMemo)."""
+    each expansion proposed.  Only one seeding per orbit of a config's
+    stabilizer is realized (see moves.enumerate_moves): the seed
+    rotations that a turn of the glued faces makes smaller are not
+    tried, and the other seedings whose orbit holds a smaller placement
+    count under rejected_orbit.  codes_computed counts the memo lookups,
+    one per realized seeding; only the first successor of each
+    isomorphism class in a layer is coded in full (see
+    surface.CodeMemo)."""
 
     states_expanded: int = 0
     moves_tried: int = 0
@@ -97,6 +99,7 @@ class SearchStats:
     pruned: int = 0
     codes_computed: int = 0
     rejected_propagate: int = 0
+    rejected_orbit: int = 0
     rejected_identification: int = 0
     rejected_euler: int = 0
     rejected_conformity: int = 0

@@ -13,17 +13,17 @@ flat half-edge table built for that call (see _half_edge_table): quad i
 holds half-edges 4*i .. 4*i + 3, so the traversal runs on list indexing
 alone.  A CodeMemo, made for one reflection mode, hands out the same
 codes but codes each isomorphism class in full once; it tests a pattern
-against a known code with the same walk (_walk) that computes codes.
-The table is not kept on the pattern, because the search holds many
-patterns at once; so a pattern that a CodeMemo codes in full has its
-table built twice, once by the memo and once by canonical_code.
+against a known code with the same walk (_walk) that computes codes,
+and hands its table to canonical_code when it codes one in full.  The
+table is not kept on the pattern, because the search holds many
+patterns at once.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import cache, cached_property
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import Disconnected, raise_violations
 from .hexmodel import boundary_violations, face_key, oriented_key
@@ -101,22 +101,37 @@ def euler_characteristic(p):
 def _half_edge_table(quads):
     """(Q, opp, deg, ids): the flat half-edge table of a quad surface.
 
-    Vertices get dense ids 0, 1, ... in first-seen order, and ids[d] is
-    the original id of dense vertex d.  Q lists the quads' dense corners
-    back to back, so half-edge h = 4*qi + i runs from Q[h] to
-    Q[(h & ~3) | ((h + 1) & 3)].  opp[h] is the half-edge running the
-    other way along the same edge, and deg[d] the number of quads at d.
+    Q lists the quads' corners back to back as vertex numbers, so
+    half-edge h = 4*qi + i runs from Q[h] to Q[(h & ~3) | ((h + 1) & 3)].
+    The numbers are the pattern's own ids when those are non-negative
+    integers below the half-edge count, as the ids of every pattern
+    glue_hex makes are; then a number no quad uses has degree 0.  Other
+    ids are numbered 0, 1, ... in first-seen order.  ids[d] is the
+    pattern's id of number d, opp[h] the half-edge running the other way
+    along the same edge, and deg[d] the number of quads at d.
     """
-    dense = {}
-    Q = [dense.setdefault(v, len(dense)) for q in quads for v in q]
+    Q = list(chain.from_iterable(quads))
+    try:
+        own = min(Q) >= 0 and max(Q) < len(Q)
+        if own:
+            deg = [0] * (max(Q) + 1)
+            for d in Q:
+                deg[d] += 1
+            ids = range(len(deg))
+    except TypeError:  # ids that cannot index a list
+        own = False
+    if not own:
+        dense = {}
+        Q = [dense.setdefault(v, len(dense)) for v in Q]
+        deg = [0] * len(dense)
+        for d in Q:
+            deg[d] += 1
+        ids = list(dense)
     head = Q[1:] + Q[:1]  # head[h] = Q[h + 1], except at each quad's end
     head[3::4] = Q[::4]
     at = dict(zip(zip(Q, head), range(len(Q))))
     opp = list(map(at.__getitem__, zip(head, Q)))
-    deg = [0] * len(dense)
-    for d in Q:
-        deg[d] += 1
-    return Q, opp, deg, list(dense)
+    return Q, opp, deg, ids
 
 
 def _mirror_table(Q, opp):
@@ -161,7 +176,7 @@ def _roots(Q, opp, deg):
     roots onto roots, and a pattern and its mirror have the same number.
     """
     dq = list(map(deg.__getitem__, Q))
-    least = min(deg)
+    least = min(dq)
     tails = list(compress(range(len(Q)), map(least.__eq__, dq)))
     heads = [dq[opp[h]] for h in tails]
     least = min(heads)
@@ -235,30 +250,36 @@ def _best_emission(tables, ring, nv):
     return best, best_labels
 
 
-def _canonical(p, reflection_invariant):
+def _canonical(p, reflection_invariant, table=None):
     """(emission, labels, ids) of the winning traversal.
 
-    labels[d] is the discovery label of dense vertex d and ids[d] its id
-    in p.  With reflection the roots of the mirror table (the reversed
-    quads) compete too.
+    labels[d] is the discovery label of vertex number d (-1 for a
+    number no quad uses) and ids[d] its id in p.  With reflection the
+    roots of the mirror table (the reversed quads) compete too.  table,
+    when given, is p's (Q, opp, deg, ids, roots), as CodeMemo built it.
     """
-    Q, opp, deg, ids = _half_edge_table(p.quads)
-    tables = _tables(Q, opp, deg, _roots(Q, opp, deg), reflection_invariant)
+    if table is None:
+        Q, opp, deg, ids = _half_edge_table(p.quads)
+        roots = _roots(Q, opp, deg)
+    else:
+        Q, opp, deg, ids, roots = table
+    tables = _tables(Q, opp, deg, roots, reflection_invariant)
     em, labels = _best_emission(tables, _rings(len(Q)), len(deg))
     return em, labels, ids
 
 
-def canonical_code(p, reflection_invariant=True):
+def canonical_code(p, reflection_invariant=True, *, _table=None):
     """Relabeling-invariant byte code of a pattern.
 
     With reflection_invariant (the default) mirror-image patterns get the
     same code.  Layout: the winning BFS emission, one 16-bit big-endian
     word per discovery label, four words per quad in discovery order.
-    A pattern with more than 65535 vertices raises ValueError.
+    A pattern with more than 65535 vertices raises ValueError.  _table
+    is the pattern's half-edge table and roots, when CodeMemo has them.
     """
     if len(p.vertices) > 0xFFFF:
         raise ValueError("pattern too large for 16-bit label encoding")
-    em, _, _ = _canonical(p, reflection_invariant)
+    em, _, _ = _canonical(p, reflection_invariant, _table)
     return struct.pack(f">{len(em)}H", *em)
 
 
@@ -287,7 +308,7 @@ class CodeMemo:
         self._buckets = {}
 
     def code(self, p):
-        Q, opp, deg, _ = _half_edge_table(p.quads)
+        Q, opp, deg, ids = _half_edge_table(p.quads)
         roots = _roots(Q, opp, deg)
         bucket = self._buckets.setdefault(_bucket_key(Q, deg, roots), [])
         if bucket:
@@ -296,7 +317,9 @@ class CodeMemo:
             if code is not None:
                 return code
         # a module global, so every full code passes through canonical_code
-        code = canonical_code(p, self.reflection_invariant)
+        code = canonical_code(
+            p, self.reflection_invariant, _table=(Q, opp, deg, ids, roots)
+        )
         bucket.append(code)
         return code
 
@@ -345,8 +368,9 @@ def isomorphic(p1, p2, reflection_invariant=True):
         return False, None
     by_label = [None] * len(labels2)
     for v, lab in zip(ids2, labels2):
-        by_label[lab] = v
-    mapping = {v: by_label[lab] for v, lab in zip(ids1, labels1)}
+        if lab >= 0:
+            by_label[lab] = v
+    mapping = {v: by_label[lab] for v, lab in zip(ids1, labels1) if lab >= 0}
     remapped = sorted(face_key(tuple(mapping[v] for v in q)) for q in p1.quads)
     if remapped != sorted(face_key(q) for q in p2.quads):
         raise AssertionError("canonical traversal produced an invalid bijection")

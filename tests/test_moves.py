@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from conftest import all_moves, grid_complex, seedings
@@ -18,6 +19,7 @@ from hexpack.hexmodel import (
     subdivide_hex,
 )
 from hexpack.moves import (
+    REJECT_REASONS,
     Placement,
     _propagate,
     _realize,
@@ -110,23 +112,51 @@ def test_dedup_keeps_the_first_placement_per_successor_code():
     assert keys == sorted(keys)
     coded = {}
     dedup = enumerate_moves(second, counters=coded)
-    assert coded["tried"] == bare["tried"]
-    assert coded["codes"] == len(raw)
-    # the same seedings, rejected for the same reasons
-    assert {k: n for k, n in coded.items() if k != "codes"} == bare
+    # one seeding per orbit of its config's stabilizer is tried and coded
+    assert coded["tried"] < bare["tried"]
+    assert coded["tried"] == coded["codes"] + sum(
+        coded.get(reason, 0) for reason in REJECT_REASONS
+    )
+    per_config = Counter(m.placement.config_id for m in raw)
+    orders = {cid: len(moves._STABILIZERS[cid]) + 1 for cid in per_config}
+    assert all(n % orders[cid] == 0 for cid, n in per_config.items())
+    assert coded["codes"] == sum(n // orders[cid] for cid, n in per_config.items())
     firsts = {}
     for m in raw:
         firsts.setdefault(canonical_code(m.pattern), m.placement)
     assert [(m.code, m.placement) for m in dedup] == sorted(firsts.items())
 
 
-def reference_dedup(packing, reflection_invariant):
-    """enumerate_moves' kept (code, placement) pairs, from a full canonical
-    code of every candidate: the first placement per code, by code."""
+def ledger_states(depth, options):
+    """The packing of every slot of build_ledger(depth, options), by code."""
+    return [
+        replay_witness(rec.witness(parity))
+        for _, rec in sorted(build_ledger(depth, options).records.items())
+        for parity in ("odd", "even")
+        if rec.slot(parity) is not None
+    ]
+
+
+def reference_dedup(packing, reflection_invariant, sphere_mode=True):
+    """enumerate_moves' kept results, from the full product and a full
+    canonical code of each successor: the first placement per code, by
+    code, as (code, placement, hexes, quads).  Equal successor patterns
+    have one code, so each distinct one is coded once."""
+    codes = {}
     firsts = {}
-    for m in all_moves(packing):
-        firsts.setdefault(canonical_code(m.pattern, reflection_invariant), m.placement)
-    return sorted(firsts.items())
+    for m in all_moves(packing, sphere_mode=sphere_mode):
+        code = codes.get(m.pattern)
+        if code is None:
+            code = codes[m.pattern] = canonical_code(m.pattern, reflection_invariant)
+        firsts.setdefault(code, m)
+    return [
+        (code, m.placement, m.complex.hexes, m.pattern.quads)
+        for code, m in sorted(firsts.items())
+    ]
+
+
+def kept_results(results):
+    return [(m.code, m.placement, m.complex.hexes, m.pattern.quads) for m in results]
 
 
 @pytest.mark.parametrize("reflection", [True, False])
@@ -145,17 +175,16 @@ def test_layer_memo_keeps_the_pairs_of_a_full_code_per_candidate(reflection):
         for witness in witnesses:
             packing = replay_witness(witness)
             got = enumerate_moves(packing, memo=memo)
-            assert [(m.code, m.placement) for m in got] == reference_dedup(
-                packing, reflection
-            )
+            assert kept_results(got) == reference_dedup(packing, reflection)
 
 
 def test_seedings_on_one_glued_quad_set_build_one_successor():
-    # enumerate_moves codes the candidates of a one-component config once
-    # per glued-quad set; two-opposite candidates need a code each.  The
-    # former take the finer plain code, so the premise holds in both
-    # reflection modes; the latter the default code, so that even with
-    # reflection their successors on one quad set can differ.
+    # The legal seedings of a one-component config on one quad set are
+    # one orbit of its stabilizer, so they build one successor; two
+    # opposite faces can also turn apart, into another orbit.  The former
+    # take the finer plain code, so the premise holds in both reflection
+    # modes; the latter the default code, so that even with reflection
+    # their successors on one quad set can differ.
     split = 0
     for options in (SearchOptions(), SearchOptions(sphere_mode=False)):
         depth = 5 if options.sphere_mode else 3
@@ -182,7 +211,7 @@ def test_seedings_on_one_glued_quad_set_build_one_successor():
     assert split > 0
 
 
-def test_a_state_asks_the_memo_once_per_glued_quad_set():
+def test_a_state_asks_the_memo_once_per_orbit():
     class CountingMemo(CodeMemo):
         calls = 0
 
@@ -193,8 +222,13 @@ def test_a_state_asks_the_memo_once_per_glued_quad_set():
     memo, counters = CountingMemo(), {}
     kept = enumerate_moves(initial_packing(), counters=counters, memo=memo)
     assert len(kept) == 1
-    assert counters["codes"] == 24  # every realized candidate is counted
+    assert counters["codes"] == 6  # every realized candidate is counted
     assert memo.calls == 6  # one per quad of the cube, not per rotation
+    # config one is tried on each quad of the cube at rotation 0 only: the
+    # other rotations are turns of the glued face
+    counters = {}
+    enumerate_moves(initial_packing(), allowed={1}, counters=counters)
+    assert counters == {"tried": 6, "codes": 6}
 
 
 def test_layer_three_pattern_census():
@@ -378,7 +412,7 @@ def test_grown_complexes_carry_the_rebuilt_face_index(monkeypatch):
 
     monkeypatch.setattr(moves, "glue_hex", recording_glue)
     build_ledger(4)
-    build_ledger(3, SearchOptions(sphere_mode=False))
+    build_ledger(4, SearchOptions(sphere_mode=False))
     assert find_grow_order(subdivide_hex(parity_odd17())).found
     assert len(grown) > 900 and max(map(len, grown)) == 136
     for c in grown:
@@ -388,13 +422,7 @@ def test_grown_complexes_carry_the_rebuilt_face_index(monkeypatch):
 
 
 def test_a_glue_leaves_the_predecessor_index_alone():
-    ledger = build_ledger(3, SearchOptions(sphere_mode=False))
-    states = [
-        replay_witness(rec.witness(parity))
-        for _, rec in sorted(ledger.records.items())
-        for parity in ("odd", "even")
-        if rec.slot(parity) is not None
-    ]
+    states = ledger_states(3, SearchOptions(sphere_mode=False))
     for packing in states + [pocket_complex()[0]]:
         before = list(packing.face_index.items())
         moves_seen = all_moves(packing, sphere_mode=False)
@@ -468,12 +496,109 @@ def assert_local_rule_matches_whole_complex_rule(packing, sphere_mode):
 
 @pytest.mark.parametrize("sphere_mode", [True, False])
 def test_local_move_check_matches_whole_complex_check(sphere_mode):
-    states = [
-        replay_witness(rec.witness(parity))
-        for _, rec in sorted(build_ledger(4).records.items())
-        for parity in ("odd", "even")
-        if rec.slot(parity) is not None
-    ]
+    states = ledger_states(4, SearchOptions())
     assert len(states) == 18
     for packing in states + [pocket_complex()[0]]:
         assert_local_rule_matches_whole_complex_rule(packing, sphere_mode)
+
+
+def test_stabilizers_have_the_orders_of_the_face_sets():
+    orders = [len(moves._STABILIZERS[cfg.id]) + 1 for cfg in glue_configs()]
+    assert orders == [4, 8, 2, 2, 3, 2, 8, 4]
+    for cfg in glue_configs():
+        for vperm, fperm in moves._STABILIZERS[cfg.id]:
+            assert vperm in moves.ROTATIONS and vperm != tuple(range(8))
+            assert {fperm[f] for f in cfg.faces} == set(cfg.faces)
+    # orbit times stabilizer: each class holds 24 / order face subsets
+    assert [24 // n for n in orders] == [6, 3, 12, 12, 8, 12, 3, 6]
+
+
+@pytest.mark.parametrize("reflection", [True, False])
+def test_one_seeding_per_orbit_keeps_the_full_products_first_placements(
+    reflection,
+):
+    # sphere mode is held so by the layer memo test above
+    options = SearchOptions(sphere_mode=False, reflection_invariant=reflection)
+    states = ledger_states(4, options)
+    assert len(states) == (139 if reflection else 201)
+    for packing in states:
+        got = enumerate_moves(
+            packing, sphere_mode=False, memo=CodeMemo(reflection)
+        )
+        assert kept_results(got) == reference_dedup(
+            packing, reflection, sphere_mode=False
+        )
+
+
+def mate_seeds(pattern, cfg, m, targets, vperm, fperm):
+    """The seeds of the hex whose corner c is corner vperm[c] of the hex
+    that m and targets place: each component's first face goes on the
+    quad of its image face, turned to where its first corner lands."""
+    seeds = []
+    for comp in config_components(cfg):
+        f0 = comp[0]
+        t = targets[fperm[f0]]
+        seeds.append((f0, t, pattern.quads[t].index(m[vperm[HEX_FACES[f0][0]]])))
+    return tuple(seeds)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.booleans())
+def test_every_mate_of_a_seeding_builds_the_same_successor(seed, sphere_mode):
+    rnd = random.Random(seed)
+    packing = initial_packing()
+    for _ in range(rnd.randrange(4)):
+        packing = rnd.choice(
+            enumerate_moves(packing, sphere_mode=sphere_mode)
+        ).complex
+    pattern = extract_boundary(packing)
+    realized = 0
+    for cfg, seeds in seedings(pattern, sphere_mode):
+        res = _propagate(pattern, cfg.faces, seeds)
+        if res is None:
+            continue
+        cand = _realize(packing, pattern, cfg, seeds, sphere_mode=sphere_mode)
+        realized += cand is not None
+        placements = {None if cand is None else cand.placement}
+        for vperm, fperm in moves._STABILIZERS[cfg.id]:
+            mate = _realize(
+                packing, pattern, cfg, mate_seeds(pattern, cfg, *res, vperm, fperm),
+                sphere_mode=sphere_mode,
+            )
+            assert (mate is None) == (cand is None), (cfg.name, seeds, vperm)
+            if cand is not None:
+                assert canonical_code(mate.pattern, False) == canonical_code(
+                    cand.pattern, False
+                )
+                assert set(mate.complex.hexes[-1]) == set(cand.complex.hexes[-1])
+                placements.add(mate.placement)
+        if cand is not None:
+            # a legal seeding has as many mates as its stabilizer
+            assert len(placements) == len(moves._STABILIZERS[cfg.id]) + 1
+    assert realized > 0
+
+
+def test_no_minimal_packing_one_move_past_a_witness_reaches_a_smaller_slot():
+    # The ledger keeps one packing per code and parity.  Expand every
+    # other minimal packing one move past a kept witness, up to 4 hexes:
+    # none may reach a code before the ledger's slot for it.
+    ledger = build_ledger(5)
+
+    def slot(code, hexes):
+        return ledger.records[code].slot("odd" if hexes % 2 else "even")
+
+    expanded = 0
+    memos = {}
+    for rec in ledger.records.values():
+        for parity in ("odd", "even"):
+            layer = rec.slot(parity)
+            if layer is None or layer > 3:
+                continue
+            for m in all_moves(replay_witness(rec.witness(parity))):
+                if slot(canonical_code(m.pattern), layer + 1) != layer + 1:
+                    continue
+                expanded += 1
+                memo = memos.setdefault(layer + 2, CodeMemo())
+                for succ in enumerate_moves(m.complex, m.pattern, memo=memo):
+                    assert slot(succ.code, layer + 2) <= layer + 2
+    assert expanded == 294

@@ -30,7 +30,7 @@ from hexpack.surface import (
     relabel,
 )
 
-from conftest import all_moves
+from conftest import all_moves, grid_complex
 
 
 def reference_best_emission(quads, directed, degree):
@@ -230,6 +230,32 @@ def test_isomorphic_recovers_random_relabelings(rnd):
     assert image == {tuple(sorted(quad)) for quad in q.quads}
 
 
+def test_codes_and_bijections_ignore_how_the_ids_are_numbered():
+    # the boundary of a 2x2x2 block leaves its center's id unused
+    block, _ = grid_complex(
+        [(x, y, z) for x in range(2) for y in range(2) for z in range(2)]
+    )
+    p = extract_boundary(block)
+    _, _, deg, ids = surface._half_edge_table(p.quads)
+    assert ids == range(27) and deg.count(0) == 1  # the pattern's own ids
+    want = [canonical_code(p, r) for r in (True, False)]
+    for rename in (
+        lambda v: 1000 * v + 7,  # sparse
+        lambda v: -v - 1,
+        lambda v: f"v{v}",
+        lambda v: v + 0.5,
+    ):
+        q = relabel(p, {v: rename(v) for v in p.vertices})
+        assert not isinstance(surface._half_edge_table(q.quads)[3], range)
+        assert [canonical_code(q, r) for r in (True, False)] == want
+        assert [CodeMemo(r).code(q) for r in (True, False)] == want
+        for a, b in ((p, q), (q, p)):
+            ok, bij = isomorphic(a, b)
+            assert ok
+            assert set(bij) == set(a.vertices)
+            assert set(bij.values()) == set(b.vertices)
+
+
 def test_reflection_flag_controls_mirror_identification():
     # this 4-hex packing has a chiral boundary: the mirror image is a
     # genuinely different labeled structure
@@ -251,9 +277,9 @@ def counting_full_codes(monkeypatch):
     full = []
     plain = surface.canonical_code
 
-    def counted(p, reflection_invariant=True):
+    def counted(p, reflection_invariant=True, **table):
         full.append(p)
-        return plain(p, reflection_invariant)
+        return plain(p, reflection_invariant, **table)
 
     monkeypatch.setattr(surface, "canonical_code", counted)
     return full
