@@ -30,6 +30,12 @@ suite it starts, to one CPU.  It reports:
   their ``/8`` subdivisions, each witness replayed and its boundary
   code held to the mesh's, as the certify-embed workload does (best of
   three passes);
+- ``grow_order_288_s`` and ``grow_order_2304_s``: ``find_grow_order``
+  then ``replay_witness`` on ``pyramid36`` subdivided once and twice,
+  the witness's boundary code held to the mesh's (best of three
+  passes); a search that recurses once per placed hex reads
+  ``"RecursionError"`` on the 2 304 hexes, since the script keeps the
+  interpreter's recursion limit;
 - ``embed_s``: ``init_interior`` then ``optimize_embedding`` on
   ``pyramid36`` and ``pyramid36/8`` from their shipped boundary
   coordinates, as the certify-embed workload runs them (best of three
@@ -146,6 +152,26 @@ def main(argv=None):
 
     pyramid, coords = hp.pyramid36()
     fine, fine_coords = hp.subdivide_hex(pyramid, coords)
+
+    def grow_and_replay(c):
+        """Best time of find_grow_order plus replay_witness on c, or
+        "RecursionError"."""
+        code = hp.canonical_code(hp.extract_boundary(c))
+        times = []
+        for _ in range(PASSES):
+            t = perf_counter()
+            try:
+                res = hp.find_grow_order(c)
+            except RecursionError:
+                return "RecursionError"
+            packing = hp.replay_witness(res.witness)
+            times.append(perf_counter() - t)
+            if hp.canonical_code(hp.extract_boundary(packing)) != code:
+                raise SystemExit(f"no valid grow order for a {len(c)}-hex mesh")
+        return round(min(times), 3)
+
+    timed["grow_order_288"] = grow_and_replay(fine)
+    timed["grow_order_2304"] = grow_and_replay(hp.subdivide_hex(fine))
     embed_inputs = []
     for name, c, xyz in (("pyramid36", pyramid, coords), ("pyramid36/8", fine, fine_coords)):
         boundary, _ = hp.classify_vertices(c)
@@ -261,6 +287,8 @@ def main(argv=None):
         "replay_6_slots": len(slots),
         "replay_6_s": round(timed["replay_6"], 2),
         "grow_orders_s": round(timed["grow_orders"], 2),
+        "grow_order_288_s": timed["grow_order_288"],
+        "grow_order_2304_s": timed["grow_order_2304"],
         "embed_s": round(timed["embed"], 3),
         "init_interior_s": round(timed["init_interior"], 3),
         "embed_iterations": embedded["iterations"],

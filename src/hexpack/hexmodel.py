@@ -6,8 +6,8 @@ with corner k directly below corner k+4.  Everything here is purely
 combinatorial; coordinates live in :mod:`hexpack.geometry`.
 
 Values are immutable after construction (a complex builds its face
-index on first use and then keeps it) and all operations are pure
-functions.
+index and vertex sets on first use and then keeps them) and all
+operations are pure functions.
 """
 
 from __future__ import annotations
@@ -93,13 +93,15 @@ class HexComplex:
     conformity invariants.  Instances built directly are not checked.
     """
 
-    __slots__ = ("vertex_count", "hexes", "_face_index", "_grown_from")
+    __slots__ = ("vertex_count", "hexes", "_face_index", "_vertex_sets",
+                 "_grown_from")
 
     def __init__(self, vertex_count, hexes):
         self.vertex_count = int(vertex_count)
         self.hexes = tuple(tuple(h) for h in hexes)
-        self._face_index = None
-        # (predecessor's face index, last hex) of a complex made by glued()
+        self._face_index = self._vertex_sets = None
+        # the complex this one was made from by glued(), until both
+        # indexes are built
         self._grown_from = None
 
     @property
@@ -116,13 +118,12 @@ class HexComplex:
         """
         if self._face_index is None:
             if self._grown_from is not None:
-                index, new_hex = self._grown_from
-                index = dict(index)
+                index = dict(self._grown_from.face_index)
                 hi = len(self.hexes) - 1
+                new_hex = self.hexes[hi]
                 for f in range(6):
                     key = face_key(hex_face_cycle(new_hex, f))
                     index[key] = index.get(key, ()) + ((hi, f),)
-                self._grown_from = None  # let the predecessor's index go
             else:
                 index = {}
                 for hi, corners in enumerate(self.hexes):
@@ -131,19 +132,51 @@ class HexComplex:
                         index.setdefault(key, []).append((hi, f))
                 index = {k: tuple(v) for k, v in index.items()}
             self._face_index = index
+            self._let_go()
         return self._face_index
 
-    def glued(self, new_hex):
-        """This complex with new_hex appended; its face index carries on.
+    @property
+    def vertex_sets(self):
+        """The set of every hex's corner set, as frozensets.
 
-        The new complex holds this one's index and copies it on its own
-        first face_index call, so the two never share a mutable dict,
-        and a candidate whose index is never read costs no copy.
-        new_hex is not checked (glue_hex does that).
+        Like face_index it is built on first use, and a complex made by
+        glued() copies its predecessor's and adds its last hex's set.
         """
-        grown = HexComplex(max(self.vertex_count, max(new_hex) + 1),
-                           self.hexes + (new_hex,))
-        grown._grown_from = (self.face_index, new_hex)
+        if self._vertex_sets is None:
+            if self._grown_from is not None:
+                sets = set(self._grown_from.vertex_sets)
+                sets.add(frozenset(self.hexes[-1]))
+            else:
+                sets = set(map(frozenset, self.hexes))
+            self._vertex_sets = sets
+            self._let_go()
+        return self._vertex_sets
+
+    def _let_go(self):
+        # the predecessor's indexes are no longer needed once both of
+        # this complex's are built
+        if self._face_index is not None and self._vertex_sets is not None:
+            self._grown_from = None
+
+    def glued(self, new_hex):
+        """This complex with new_hex, a tuple of 8 ids, appended; both
+        indexes carry on.
+
+        The new complex copies this one's face_index and vertex_sets on
+        its own first use of each, so the two never share a mutable
+        container, and a candidate whose indexes are never read costs
+        no copy.  Old hexes are not copied one by one: the new hexes
+        tuple is this one's plus new_hex.  new_hex is not checked
+        (glue_hex does that).
+        """
+        # build both of this complex's indexes, so it lets its own
+        # predecessor go: a chain of glues holds one predecessor, not all
+        self.face_index, self.vertex_sets
+        grown = HexComplex.__new__(HexComplex)
+        grown.vertex_count = max(self.vertex_count, max(new_hex) + 1)
+        grown.hexes = self.hexes + (new_hex,)
+        grown._face_index = grown._vertex_sets = None
+        grown._grown_from = self
         return grown
 
     def hex_face(self, hi, f):

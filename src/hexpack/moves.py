@@ -190,8 +190,8 @@ _STABILIZERS = {
 
 
 def _orbit_tables(cfg):
-    """(rotations, mates): how enumerate_moves realizes one seeding per
-    orbit of cfg's stabilizer.
+    """(rotations, mates, increasing): how enumerate_moves realizes one
+    seeding per orbit of cfg's stabilizer.
 
     A stabilizer element sigma turns a seeding into its mate, which
     builds the same hex with corner c where the seeding puts sigma(c),
@@ -202,7 +202,12 @@ def _orbit_tables(cfg):
     moves some face to another quad, so its mate has other quads: mates
     holds its face images, sigma(f) for f in cfg.faces.  A seeding is
     the smallest placement of its orbit when its rotations are listed
-    and no mate's quads are smaller.
+    and no mate's quads are smaller.  When cfg is two one-face
+    components and every mate swaps them (two-opposite), a mate is
+    smaller exactly when the second seed's quad is below the first's,
+    which needs no surface: then increasing is True, the seed quads are
+    taken in increasing order only (see _seed_choices), and no mate is
+    left to check.
     """
     firsts = [comp[0] for comp in _COMPONENTS[cfg.id]]
     turns, mates = [], []
@@ -223,7 +228,11 @@ def _orbit_tables(cfg):
             for ks in turns
         )
     )
-    return rotations, tuple(mates)
+    if mates and len(firsts) == len(cfg.faces) == 2 and all(
+        img == cfg.faces[::-1] for img in mates
+    ):
+        return rotations, (), True
+    return rotations, tuple(mates), False
 
 
 @functools.cache
@@ -415,9 +424,14 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     in either orientation: that attachment belongs to a larger config.
     The returned pattern lists the unglued old quads, then the new ones.
     The grown complex carries the packing's face index plus the new
-    hex's 6 keys (HexComplex.glued), so a chain of glues keys each face
-    once, not once per step.  A rejection is counted in counters under
-    "euler" or "conformity".
+    hex's 6 keys, and its vertex sets plus the new hex's
+    (HexComplex.glued), so a chain of glues keys each face once, not
+    once per step, and a repeated vertex set is one set lookup.  Only
+    the connectivity test of a four-ring glue walks the whole new
+    surface; otherwise what a glue copies (the indexes, the hexes, the
+    quads) it copies with C-level calls, and no check loops over the
+    packing's hexes or the pattern's quads.  A rejection is counted in
+    counters under "euler" or "conformity".
     """
     mask = 0
     for f in targets:
@@ -459,12 +473,13 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     for cyc in new_faces:
         if all(v < nv for v in cyc) and face_key(cyc) in index:
             return _reject(counters, "conformity")  # meets an old face unglued
-    if all(v < nv for v in new_hex):
-        corners = set(new_hex)
-        if any(corners.issuperset(h) for h in packing.hexes):
-            return _reject(counters, "conformity")  # repeats a hex's vertex set
-    tvals = set(targets.values())
-    succ_quads = [q for qi, q in enumerate(quads) if qi not in tvals]
+    # an old hex has 8 distinct corners, so new_hex repeats its vertex
+    # set exactly when their sets are equal
+    if all(v < nv for v in new_hex) and frozenset(new_hex) in packing.vertex_sets:
+        return _reject(counters, "conformity")  # repeats a hex's vertex set
+    succ_quads = list(quads)
+    for t in sorted(targets.values(), reverse=True):
+        del succ_quads[t]
     succ_quads.extend(cyc[::-1] for cyc in new_faces)
     # Given the checks above every edge and vertex of the new surface is
     # manifold, and it stays connected when the glued faces leave the
@@ -472,7 +487,7 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     # the old surface in two, which only the whole surface can tell.
     if splits and boundary_violations(succ_quads):
         return _reject(counters, "conformity")
-    return packing.glued(new_hex), SurfacePattern(succ_quads)
+    return packing.glued(new_hex), SurfacePattern._of_tuples(tuple(succ_quads))
 
 
 def _realize(packing, pattern, cfg, seeds, *, sphere_mode, counters=None,
@@ -529,15 +544,18 @@ def _realize(packing, pattern, cfg, seeds, *, sphere_mode, counters=None,
 _ORBITS = {cfg.id: _orbit_tables(cfg) for cfg in _CONFIGS}
 
 
-def _seed_choices(cfg, nquads, rotations=None):
+def _seed_choices(cfg, nquads, rotations=None, increasing=False):
     """Every seeding of a config, as _realize's seeds: the first face of
     each face component on a quad of its own, at a rotation (each tuple
-    of rotations, per component, unless rotations lists some).  _realize
-    packs the placement's rotation from the seeds themselves."""
+    of rotations, per component, unless rotations lists some).  With
+    increasing, only the seedings whose quads increase from component to
+    component.  _realize packs the placement's rotation from the seeds
+    themselves."""
     firsts = [comp[0] for comp in _COMPONENTS[cfg.id]]
     if rotations is None:
         rotations = list(itertools.product(range(4), repeat=len(firsts)))
-    for quads in itertools.permutations(range(nquads), len(firsts)):
+    pick = itertools.combinations if increasing else itertools.permutations
+    for quads in pick(range(nquads), len(firsts)):
         for rots in rotations:
             yield tuple(zip(firsts, quads, rots))
 
@@ -563,7 +581,8 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
     face set to itself build one hex, so only the smallest placement of
     each such orbit is realized and coded (see _orbit_tables): the
     seed rotations that a turn of the glued faces makes smaller are
-    never tried, and _realize rejects the other seedings with a
+    never tried, nor are two-opposite seedings whose second quad is
+    below the first, and _realize rejects the other seedings with a
     smaller mate under "orbit".  A code's smallest placement is the
     smallest of its orbit, so it is kept as before.  counters, if
     given, is a dict whose "tried" entry is incremented per seeding
@@ -583,8 +602,8 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
         if sphere_mode and len(_COMPONENTS[cfg.id]) > 1:
             # gluing two disjoint quads of one sphere always adds a handle
             continue
-        rotations, mates = _ORBITS[cfg.id]
-        for seeds in _seed_choices(cfg, nquads, rotations):
+        rotations, mates, increasing = _ORBITS[cfg.id]
+        for seeds in _seed_choices(cfg, nquads, rotations, increasing):
             if counters is not None:
                 counters["tried"] = counters.get("tried", 0) + 1
             cand = _realize(

@@ -18,8 +18,10 @@ re-expanded, matching the keep-one-optimal-packing-per-pattern policy.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
+import random
 from dataclasses import dataclass, field
 
 from .errors import CheckpointCorrupt, InvalidPlacement, VersionMismatch
@@ -87,8 +89,9 @@ class SearchStats:
     each expansion proposed.  Only one seeding per orbit of a config's
     stabilizer is realized (see moves.enumerate_moves): the seed
     rotations that a turn of the glued faces makes smaller are not
-    tried, and the other seedings whose orbit holds a smaller placement
-    count under rejected_orbit.  codes_computed counts the memo lookups,
+    tried, nor the two-opposite seedings whose swap is smaller, and the
+    other seedings whose orbit holds a smaller placement count under
+    rejected_orbit.  codes_computed counts the memo lookups,
     one per realized seeding; only the first successor of each
     isomorphism class in a layer is coded in full (see
     surface.CodeMemo)."""
@@ -434,20 +437,41 @@ def verify_template(a, b, reflection_invariant=True):
     )
 
 
+@functools.cache
+def _config_for_mask(mask):
+    """config_for_subset of a face set given as a bit mask over 6 faces."""
+    return config_for_subset(tuple(f for f in range(6) if mask >> f & 1))
+
+
 def find_grow_order(c, options=None):
     """Find an order of c's hexes that is a legal move sequence.
 
     A complex whose interior face count no n - 1 allowed glues can
     cover is refused at once, with nodes 0.  Otherwise this backtracks
     over prefixes, memoizing failed hex sets.  A hex's glued faces are
-    those across which c holds a hex of the prefix.  Each hex is turned
-    to its config's representative and takes the move pipeline, as a
-    move does: each face component is seeded on the quad its first face
-    runs along, and _realize glues it with c's vertex ids and yields its
-    placement, so the prefix's boundary keeps the quad order a replay of
-    the witness has.  The finished witness is replayed once and must
-    rebuild c hex for hex.  Returns GrowOrderResult with found=False and
-    a reason when no order exists under the configured move rules.
+    those across which c holds a hex of the prefix.  At each node the
+    unplaced hexes with 1 to 5 glued faces are tried, most glued faces
+    first, then by index.  Each hex is turned to its config's
+    representative and takes the move pipeline, as a move does: each
+    face component is seeded on the quad its first face runs along, and
+    _realize glues it with c's vertex ids and yields its placement, so
+    the prefix's boundary keeps the quad order a replay of the witness
+    has.  The finished witness is replayed once and must rebuild c hex
+    for hex.  Returns GrowOrderResult with found=False and a reason when
+    no order exists under the configured move rules.
+
+    A step costs the same however many hexes the prefix holds, apart
+    from the C-level copies a glue makes (see moves.glue_hex): each hex
+    keeps a bit mask of its faces glued to the prefix, the unplaced
+    hexes sit in one frontier set per number of glued faces, and both
+    are updated when a hex is placed and undone when it is taken back.
+    A node sorts one frontier set at a time, the next only when the last
+    is used up; by then every deeper placement is taken back, so it sees
+    the sets as they were when the node was reached.  A failed hex set
+    is found by an order-free hash of the prefix, updated the same way;
+    the set itself is built only when a node fails or its hash is a
+    known failure's.  The search runs on an explicit stack of frames, so
+    it needs no recursion, however many hexes c holds.
     """
     if options is None:
         options = SearchOptions()
@@ -465,79 +489,122 @@ def find_grow_order(c, options=None):
     if not min(sizes) * (n - 1) <= interior <= max(sizes) * (n - 1):
         return GrowOrderResult(False, None, None, 0, _NO_ORDER)
 
-    # across[h][f]: the hex on the other side of face f of hex h; a face
-    # of a conforming complex belongs to at most two hexes
-    across = [[None] * 6 for _ in range(n)]
+    # across[h]: (hex, face) on the other side of each face of hex h; a
+    # face of a conforming complex belongs to at most two hexes
+    across = [[] for _ in range(n)]
     for inc in c.face_index.values():
         if len(inc) == 2:
             (h1, f1), (h2, f2) = inc
-            across[h1][f1], across[h2][f2] = h2, h1
-    failed = set()
-    nodes = 0
-    # (complex, boundary pattern) of the prefix being extended, or
-    # (None, None) when it is to be built from placed
-    state = None
+            across[h1].append((h2, f2))
+            across[h2].append((h1, f1))
+    glued = [0] * n  # glued[h]: h's faces glued to the prefix, a bit mask
+    # frontier[k]: the unplaced hexes with k glued faces, for k = 0..6
+    frontier = [set(range(n))] + [set() for _ in range(6)]
+    in_prefix = bytearray(n)
+    rng = random.Random(0)
+    tags = [rng.getrandbits(64) for _ in range(n)]
+    key = 0  # the xor of the prefix's tags
+    failed = {}  # key -> the failed hex sets with that key
+    order = []  # the prefix's hexes
     placed = []  # the prefix's hexes, turned as they were glued
-    witness = []  # the prefix's placements
+    witness = []  # the placements of order[1:]
 
-    def extend(prefix, chosen):
-        nonlocal nodes, state
-        nodes += 1
-        if len(prefix) == n:
-            return prefix
-        if chosen in failed:
-            return None
-        sub, pattern = state
-        cands = []
-        for h in range(n):
-            if h in chosen:
-                continue
-            glued = tuple(f for f in range(6) if across[h][f] in chosen)
-            if 1 <= len(glued) <= 5:
-                cands.append((-len(glued), h, glued))
-        for _, h, glued in sorted(cands):
-            cfg, sigma = config_for_subset(glued)
-            if cfg.id not in allowed:
-                continue
-            if sub is None:  # a new or backtracked prefix: build its state
-                sub = HexComplex(c.vertex_count, tuple(placed))
-                pattern = extract_boundary(sub)
-            corners = tuple(c.hexes[h][s] for s in sigma)
-            # a glued face runs along its quad in the same direction, so
-            # the first edge of each component's first face finds its
-            # quad and seed rotation
-            seeds = []
-            for f0, *_ in config_components(cfg):
-                a, b = HEX_FACES[f0][:2]
-                seeds.append((f0, *pattern.directed_edges[corners[a], corners[b]]))
-            move = _realize(
-                sub, pattern, cfg, seeds,
-                sphere_mode=options.sphere_mode, ids=corners,
-            )
-            if move is None:
-                continue
-            state = (move.complex, move.pattern)
-            placed.append(corners)
-            witness.append(move.placement)
-            # hold no prefix state while deeper levels run, or memory
-            # grows with the square of the hex count
-            sub = pattern = move = None
-            res = extend(prefix + (h,), chosen | {h})
-            if res is not None:
-                return res
-            placed.pop()
+    def place(h, corners):
+        nonlocal key
+        in_prefix[h] = 1
+        key ^= tags[h]
+        frontier[glued[h].bit_count()].discard(h)
+        for g, f in across[h]:
+            k = glued[g].bit_count()
+            glued[g] |= 1 << f
+            if not in_prefix[g]:
+                frontier[k].discard(g)
+                frontier[k + 1].add(g)
+        order.append(h)
+        placed.append(corners)
+
+    def take_back():
+        nonlocal key
+        h = order.pop()
+        placed.pop()
+        if order:
             witness.pop()
-        failed.add(chosen)
-        return None
+        in_prefix[h] = 0
+        key ^= tags[h]
+        for g, f in across[h]:
+            k = glued[g].bit_count()
+            glued[g] &= ~(1 << f)
+            if not in_prefix[g]:
+                frontier[k].discard(g)
+                frontier[k - 1].add(g)
+        frontier[glued[h].bit_count()].add(h)
 
-    order = None
+    nodes = 0
+    # (complex, boundary pattern) of the prefix, or None when it is to
+    # be built from placed.  It is the one prefix state held: the frames
+    # hold none, or memory grows with the square of the hex count.
+    state = None
+    # per node of the prefix: [glued face count, the frontier set of that
+    # count in index order, next position]
+    stack = []
     for h0 in range(n):
-        placed[:] = [c.hexes[h0]]
-        state = (None, None)
-        order = extend((h0,), frozenset((h0,)))
-        if order is not None:
+        place(h0, c.hexes[h0])
+        while stack or order:
+            if len(order) > len(stack):  # the prefix's node is new
+                nodes += 1
+                if len(order) == n:
+                    break
+                sets = failed.get(key)
+                if sets is not None and frozenset(order) in sets:
+                    take_back()
+                    state = None
+                    continue
+                # from five glued faces down: six leave no config
+                stack.append([6, (), 0])
+            frame = stack[-1]
+            move = None
+            while move is None:
+                k, cands, i = frame
+                if i == len(cands):
+                    if k == 1:
+                        break
+                    frame[:] = k - 1, sorted(frontier[k - 1]), 0
+                    continue
+                h = cands[i]
+                frame[2] = i + 1
+                cfg, sigma = _config_for_mask(glued[h])
+                if cfg.id not in allowed:
+                    continue
+                if state is None:  # a new or backtracked prefix: build it
+                    sub = HexComplex(c.vertex_count, tuple(placed))
+                    state = (sub, extract_boundary(sub))
+                sub, pattern = state
+                corners = tuple(c.hexes[h][s] for s in sigma)
+                # a glued face runs along its quad in the same direction,
+                # so the first edge of each component's first face finds
+                # its quad and seed rotation
+                seeds = []
+                for f0, *_ in config_components(cfg):
+                    a, b = HEX_FACES[f0][:2]
+                    seeds.append((f0, *pattern.directed_edges[corners[a], corners[b]]))
+                move = _realize(
+                    sub, pattern, cfg, seeds,
+                    sphere_mode=options.sphere_mode, ids=corners,
+                )
+            sub = pattern = None
+            if move is None:
+                # the node fails; its parent goes on from a rebuilt prefix
+                stack.pop()
+                failed.setdefault(key, []).append(frozenset(order))
+                take_back()
+                state = None
+            else:
+                state = (move.complex, move.pattern)
+                place(h, corners)
+                witness.append(move.placement)
+        if len(order) == n:
             break
-    if order is None:
+    else:
         return GrowOrderResult(False, None, None, nodes, _NO_ORDER)
     witness = tuple(witness)
     try:
@@ -547,7 +614,7 @@ def find_grow_order(c, options=None):
     pairs = {(u, v) for ph, rh in zip(placed, rebuilt) for u, v in zip(ph, rh)}
     if len(dict(pairs)) != len(pairs) or len({v for _, v in pairs}) != len(pairs):
         raise AssertionError("grow order witness does not rebuild the complex")
-    return GrowOrderResult(True, order, witness, nodes)
+    return GrowOrderResult(True, tuple(order), witness, nodes)
 
 
 def _options_to_json(options):

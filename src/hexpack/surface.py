@@ -22,8 +22,9 @@ patterns at once.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from functools import cache, cached_property
-from itertools import chain, compress
+from itertools import chain, compress, product
 
 from .errors import Disconnected, raise_violations
 from .hexmodel import boundary_violations, face_key, oriented_key
@@ -34,11 +35,22 @@ class SurfacePattern:
 
     Quad order is preserved from construction (placements address quads
     by index), but equality and hashing treat the pattern as a set of
-    oriented cycles.
+    oriented cycles.  The vertex and edge tables (degree,
+    directed_edges) are built on first use, each by one pass of C-level
+    iterators over the flat corner list, so a glue, which asks for both
+    on every new pattern, pays no Python-level loop over its quads.
+    A pattern holds no table it has not been asked for.
     """
 
     def __init__(self, quads):
         self.quads = tuple(tuple(q) for q in quads)
+
+    @classmethod
+    def _of_tuples(cls, quads):
+        """A pattern on quads, a tuple of 4-tuples taken as it is."""
+        p = cls.__new__(cls)
+        p.quads = quads
+        return p
 
     @cached_property
     def _oriented_keys(self):
@@ -54,21 +66,17 @@ class SurfacePattern:
 
     @cached_property
     def degree(self):
-        """Vertex id -> number of incident quads."""
-        deg = {}
-        for q in self.quads:
-            for v in q:
-                deg[v] = deg.get(v, 0) + 1
-        return deg
+        """Vertex id -> number of incident quads (a Counter), in
+        first-seen order."""
+        return Counter(chain.from_iterable(self.quads))
 
     @cached_property
     def directed_edges(self):
         """Directed edge (u, v) -> (quad index, position of u)."""
-        out = {}
-        for qi, q in enumerate(self.quads):
-            for i in range(4):
-                out[(q[i], q[(i + 1) % 4])] = (qi, i)
-        return out
+        Q = list(chain.from_iterable(self.quads))
+        head = Q[1:] + Q[:1]  # head[h] = Q[h + 1], except at each quad's end
+        head[3::4] = Q[::4]
+        return dict(zip(zip(Q, head), product(range(len(self.quads)), range(4))))
 
     def __eq__(self, other):
         if not isinstance(other, SurfacePattern):

@@ -419,17 +419,21 @@ def test_grown_complexes_carry_the_rebuilt_face_index(monkeypatch):
         # items and their order: boundary_items reads the dict in order
         want = HexComplex(c.vertex_count, c.hexes).face_index
         assert list(c.face_index.items()) == list(want.items())
+        assert c.vertex_sets == set(map(frozenset, c.hexes))
 
 
 def test_a_glue_leaves_the_predecessor_index_alone():
     states = ledger_states(3, SearchOptions(sphere_mode=False))
     for packing in states + [pocket_complex()[0]]:
         before = list(packing.face_index.items())
+        sets_before = set(packing.vertex_sets)
         moves_seen = all_moves(packing, sphere_mode=False)
         assert moves_seen
         for cand in moves_seen:
             assert cand.complex.face_index is not packing.face_index
+            assert cand.complex.vertex_sets is not packing.vertex_sets
         assert list(packing.face_index.items()) == before
+        assert packing.vertex_sets == sets_before
 
 
 def whole_complex_rule(packing, pattern, cfg, seeds, sphere_mode):
@@ -528,6 +532,22 @@ def test_one_seeding_per_orbit_keeps_the_full_products_first_placements(
         assert kept_results(got) == reference_dedup(
             packing, reflection, sphere_mode=False
         )
+
+
+def test_two_opposite_seedings_are_tried_on_increasing_quads():
+    # swapping the two glued faces makes a seeding smaller exactly when
+    # its second quad is below its first: those seedings are never tried,
+    # and no two-opposite seeding is left for the orbit check
+    cfg = next(cfg for cfg in glue_configs() if cfg.name == "two-opposite")
+    rotations, mates, increasing = moves._ORBITS[cfg.id]
+    assert increasing and not mates
+    assert len(rotations) == 4  # of 16: four turns share the axis
+    for packing in ledger_states(3, SearchOptions(sphere_mode=False)):
+        counters = {}
+        enumerate_moves(packing, allowed={cfg.id}, sphere_mode=False, counters=counters)
+        n = len(extract_boundary(packing).quads)
+        assert counters["tried"] == n * (n - 1) // 2 * len(rotations)
+        assert "orbit" not in counters
 
 
 def mate_seeds(pattern, cfg, m, targets, vperm, fperm):

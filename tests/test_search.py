@@ -1,20 +1,42 @@
 import hashlib
 import os
+import random
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
-from hexpack.errors import CheckpointCorrupt, VersionMismatch
-from hexpack.hexmodel import build_complex, extract_boundary, hex_parity, parity_word
+from hexpack.errors import (
+    CheckpointCorrupt,
+    HexpackError,
+    InvalidPlacement,
+    VersionMismatch,
+)
+from hexpack.hexmodel import (
+    HEX_FACES,
+    HexComplex,
+    build_complex,
+    check_conformity,
+    extract_boundary,
+    hex_parity,
+    parity_word,
+    subdivide_hex,
+)
 from hexpack.moves import (
     REJECT_REASONS,
+    _realize,
     apply_move,
+    config_components,
+    config_for_subset,
     enumerate_moves,
+    glue_configs,
     initial_packing,
 )
 from hexpack.search import (
+    _NO_ORDER,
     FORMAT_VERSION,
+    GrowOrderResult,
     PatternRecord,
     SearchOptions,
     build_ledger,
@@ -22,6 +44,7 @@ from hexpack.search import (
     find_templates,
     load_checkpoint,
     replay_witness,
+    _replay,
     search_min_packing,
     verify_template,
 )
@@ -575,6 +598,191 @@ def test_grow_order_respects_config_restrictions(odd17, pyramid):
         res = find_grow_order(c, SearchOptions(allowed_configs=configs))
         assert not res.found
         assert res.nodes == 0, configs
+
+
+def reference_find_grow_order(c, options=None):
+    """Find an order of c's hexes that is a legal move sequence.
+
+    A complex whose interior face count no n - 1 allowed glues can
+    cover is refused at once, with nodes 0.  Otherwise this backtracks
+    over prefixes, memoizing failed hex sets.  A hex's glued faces are
+    those across which c holds a hex of the prefix.  Each hex is turned
+    to its config's representative and takes the move pipeline, as a
+    move does: each face component is seeded on the quad its first face
+    runs along, and _realize glues it with c's vertex ids and yields its
+    placement, so the prefix's boundary keeps the quad order a replay of
+    the witness has.  The finished witness is replayed once and must
+    rebuild c hex for hex.  Returns GrowOrderResult with found=False and
+    a reason when no order exists under the configured move rules.
+
+    The recursive definition find_grow_order was first written as, with
+    its whole-prefix scan for candidates at every node; the iterative
+    search on glued-face masks must return the same results.
+    """
+    if options is None:
+        options = SearchOptions()
+    n = len(c.hexes)
+    if n == 0:
+        return GrowOrderResult(False, None, None, 0, "empty complex")
+    report = check_conformity(c)
+    if not report.ok:
+        return GrowOrderResult(False, None, None, 0, "input complex not conforming")
+    allowed = set(options.allowed_configs)
+    # each of the n - 1 glues covers its config's size of interior
+    # faces, and every interior face is glued exactly once
+    sizes = [cfg.size for cfg in glue_configs() if cfg.id in allowed]
+    interior = report.face_incidence.get(2, 0)
+    if not min(sizes) * (n - 1) <= interior <= max(sizes) * (n - 1):
+        return GrowOrderResult(False, None, None, 0, _NO_ORDER)
+
+    # across[h][f]: the hex on the other side of face f of hex h; a face
+    # of a conforming complex belongs to at most two hexes
+    across = [[None] * 6 for _ in range(n)]
+    for inc in c.face_index.values():
+        if len(inc) == 2:
+            (h1, f1), (h2, f2) = inc
+            across[h1][f1], across[h2][f2] = h2, h1
+    failed = set()
+    nodes = 0
+    # (complex, boundary pattern) of the prefix being extended, or
+    # (None, None) when it is to be built from placed
+    state = None
+    placed = []  # the prefix's hexes, turned as they were glued
+    witness = []  # the prefix's placements
+
+    def extend(prefix, chosen):
+        nonlocal nodes, state
+        nodes += 1
+        if len(prefix) == n:
+            return prefix
+        if chosen in failed:
+            return None
+        sub, pattern = state
+        cands = []
+        for h in range(n):
+            if h in chosen:
+                continue
+            glued = tuple(f for f in range(6) if across[h][f] in chosen)
+            if 1 <= len(glued) <= 5:
+                cands.append((-len(glued), h, glued))
+        for _, h, glued in sorted(cands):
+            cfg, sigma = config_for_subset(glued)
+            if cfg.id not in allowed:
+                continue
+            if sub is None:  # a new or backtracked prefix: build its state
+                sub = HexComplex(c.vertex_count, tuple(placed))
+                pattern = extract_boundary(sub)
+            corners = tuple(c.hexes[h][s] for s in sigma)
+            # a glued face runs along its quad in the same direction, so
+            # the first edge of each component's first face finds its
+            # quad and seed rotation
+            seeds = []
+            for f0, *_ in config_components(cfg):
+                a, b = HEX_FACES[f0][:2]
+                seeds.append((f0, *pattern.directed_edges[corners[a], corners[b]]))
+            move = _realize(
+                sub, pattern, cfg, seeds,
+                sphere_mode=options.sphere_mode, ids=corners,
+            )
+            if move is None:
+                continue
+            state = (move.complex, move.pattern)
+            placed.append(corners)
+            witness.append(move.placement)
+            # hold no prefix state while deeper levels run, or memory
+            # grows with the square of the hex count
+            sub = pattern = move = None
+            res = extend(prefix + (h,), chosen | {h})
+            if res is not None:
+                return res
+            placed.pop()
+            witness.pop()
+        failed.add(chosen)
+        return None
+
+    order = None
+    for h0 in range(n):
+        placed[:] = [c.hexes[h0]]
+        state = (None, None)
+        order = extend((h0,), frozenset((h0,)))
+        if order is not None:
+            break
+    if order is None:
+        return GrowOrderResult(False, None, None, nodes, _NO_ORDER)
+    witness = tuple(witness)
+    try:
+        rebuilt = _replay(witness)[0].hexes
+    except InvalidPlacement as err:
+        raise AssertionError(f"grow order witness does not decode: {err}") from None
+    pairs = {(u, v) for ph, rh in zip(placed, rebuilt) for u, v in zip(ph, rh)}
+    if len(dict(pairs)) != len(pairs) or len({v for _, v in pairs}) != len(pairs):
+        raise AssertionError("grow order witness does not rebuild the complex")
+    return GrowOrderResult(True, order, witness, nodes)
+
+
+def relabelled(c, rnd):
+    perm = list(range(c.vertex_count))
+    rnd.shuffle(perm)
+    return build_complex([tuple(perm[v] for v in h) for h in c.hexes], c.vertex_count)
+
+
+def random_lattice_complexes(rnd, count):
+    """count face-connected lattice complexes of 1 to 9 cells, relabelled;
+    cell sets whose boundary is not a closed surface are skipped."""
+    out = []
+    steps = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    while len(out) < count:
+        cells = [(0, 0, 0)]
+        size = rnd.randint(1, 9)
+        while len(cells) < size:
+            cell = tuple(map(sum, zip(rnd.choice(cells), rnd.choice(steps))))
+            if cell not in cells:
+                cells.append(cell)
+        try:
+            c, _ = grid_complex(cells)
+        except HexpackError:
+            continue
+        out.append(relabelled(c, rnd))
+    return out
+
+
+def grow_order_fields(res):
+    tokens = None if res.witness is None else [pl.token() for pl in res.witness]
+    return res.found, res.order, res.nodes, res.reason, tokens
+
+
+def test_grow_orders_match_the_recursive_reference(pyramid, odd17, even18):
+    rnd = random.Random(20)
+    cases = [
+        (relabelled(c, rnd), SearchOptions())
+        for m in (pyramid[0], odd17, even18)
+        for c in (m, subdivide_hex(m))
+    ]
+    for c in random_lattice_complexes(rnd, 60):
+        cases.extend((c, options) for options in (
+            SearchOptions(),
+            SearchOptions(sphere_mode=False),
+            SearchOptions(allowed_configs=(1, 2, 4)),
+            SearchOptions(allowed_configs=(1, 2)),
+        ))
+    found = backtracked = 0
+    for c, options in cases:
+        got = grow_order_fields(find_grow_order(c, options))
+        assert got == grow_order_fields(reference_find_grow_order(c, options))
+        found += got[0]
+        backtracked += got[0] and got[2] > len(c.hexes)
+    assert found > len(cases) // 2 and backtracked > 0
+
+
+def test_grow_order_needs_no_recursion(odd17):
+    c = subdivide_hex(odd17)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(c.hexes) - 36)  # 100 frames
+    try:
+        res = find_grow_order(c)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.found and len(res.order) == len(c.hexes) == res.nodes
 
 
 def test_verify_template_on_bundled_pair(odd17, even18):
