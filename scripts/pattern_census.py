@@ -41,20 +41,16 @@ def main(argv=None):
         print(f"{layer:5d}  {len(first_seen[layer]):12d}  {dist}")
 
     pairs = [
-        rec
+        (rec.slot("odd"), rec.slot("even"), rec)
         for rec in ledger.records.values()
-        if rec.min_odd is not None and rec.min_even is not None
+        if rec.witness_odd is not None and rec.witness_even is not None
     ]
     print(f"parity pairs within {args.max_hexes} hexes: {len(pairs)}")
     # fresh and resumed ledgers hold their records in different orders
-    for rec in sorted(
-        pairs,
-        key=lambda r: (max(r.min_odd, r.min_even), min(r.min_odd, r.min_even), r.code),
+    for odd, even, rec in sorted(
+        pairs, key=lambda t: (max(t[:2]), min(t[:2]), t[2].code)
     ):
-        print(
-            f"  quads {rec.quad_count}: odd at {rec.min_odd} hexes, "
-            f"even at {rec.min_even} hexes"
-        )
+        print(f"  quads {rec.quad_count}: odd at {odd} hexes, even at {even} hexes")
     print(f"total {len(ledger.records)} patterns, "
           f"{time.perf_counter() - t0:.1f}s")
     return 0

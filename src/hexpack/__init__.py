@@ -98,7 +98,6 @@ from .search import (
     SearchOptions,
     SearchResult,
     SearchStats,
-    TemplateHit,
     TemplateReport,
     build_ledger,
     find_grow_order,

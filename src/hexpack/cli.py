@@ -175,23 +175,23 @@ def cmd_search(args):
 
 def cmd_templates(args):
     options = _options_from_args(args)
-    hits = find_templates(args.max_hexes, options)
-    for hit in hits:
+    records = find_templates(args.max_hexes, options)
+    for rec in records:
         print(
-            f"template: code {hit.code.hex()} "
-            f"counts {hit.odd_count}/{hit.even_count}"
+            f"template: code {rec.code.hex()} "
+            f"counts {rec.slot('odd')}/{rec.slot('even')}"
         )
-        print("  odd witness: " + ";".join(p.token() for p in hit.odd_witness))
-        print("  even witness: " + ";".join(p.token() for p in hit.even_witness))
-    if not hits:
+        for parity in ("odd", "even"):
+            tokens = ";".join(p.token() for p in rec.witness(parity))
+            print(f"  {parity} witness: {tokens}")
+    if not records:
         print(f"exhausted: no parity pair within {args.max_hexes} hexes")
         return EXIT_EXHAUSTED
     if args.out:
-        best = hits[0]
-        for parity, wit in (("odd", best.odd_witness), ("even", best.even_witness)):
+        for parity in ("odd", "even"):
             path = f"{args.out}_{parity}.witness"
             with open(path, "w") as fh:
-                fh.write(write_witness(wit))
+                fh.write(write_witness(records[0].witness(parity)))
             print(f"wrote {path}")
     return EXIT_OK
 

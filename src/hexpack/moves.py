@@ -286,7 +286,7 @@ def config_for_subset(subset):
     raise AssertionError(f"face subset {subset} matched no class")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Placement:
     """A concrete move: config, glued surface quads, seed rotation.
 
@@ -294,6 +294,8 @@ class Placement:
     sorted face order; indices refer to extract_boundary order of the
     packing the placement applies to.  rotation packs one seed rotation
     0..3 per face component of the config (see encode_rotation).
+    Placements compare as (config_id, quads, rotation) tuples, the order
+    in which enumerate_moves keeps a code's first placement.
     """
 
     config_id: int
@@ -311,9 +313,6 @@ class Placement:
         return cls(
             int(cid), tuple(int(q) for q in quads.split(",")), int(rot)
         )
-
-    def sort_key(self):
-        return (self.config_id, self.quads, self.rotation)
 
 
 def encode_rotation(rots):
@@ -566,8 +565,8 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
     MoveResults.
 
     Each result carries its successor's canonical code, and of the
-    placements that reach one code only the first, by
-    Placement.sort_key, is kept; the results are sorted by code.  So
+    placements that reach one code only the smallest (see Placement)
+    is kept; the results are sorted by code.  So
     build_ledger, expanding states in code order, writes each slot's
     smallest (predecessor, placement) first and keeps that write.  The
     pattern argument must be extract_boundary(packing) (it is computed
@@ -617,7 +616,7 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
                 counters["codes"] = counters.get("codes", 0) + 1
             pl = cand.placement
             first = kept.get(code)
-            if first is None or pl.sort_key() < first.placement.sort_key():
+            if first is None or pl < first.placement:
                 kept[code] = MoveResult(pl, cand.complex, cand.pattern, code)
     return [kept[code] for code in sorted(kept)]
 

@@ -2,13 +2,14 @@
 
 Packings grow one hex at a time from the single-hex start.  States are
 deduplicated by the canonical code of their boundary pattern; for each
-code the ledger keeps, per parity of the hex count, the smallest count
-reaching it plus one witness (the move sequence).  Expansion is layer
-synchronous: a layer's states expand in code order, and a successor's
-slot is written once, by the first state to reach it, with that state's
-smallest placement for it.  So each slot's witness is its smallest
-(predecessor code, placement), the ledger is deterministic, and it can
-be checkpointed at layer boundaries and resumed losslessly.
+code the ledger keeps, per parity of the hex count, one witness (the
+move sequence) of the smallest count reaching it, and the count is the
+witness length plus one.  Expansion is layer synchronous: a layer's
+states expand in code order, and a successor's slot is written once,
+by the first state to reach it, with that state's smallest placement
+for it.  So each slot's witness is its smallest (predecessor code,
+placement), the ledger is deterministic, and it can be checkpointed at
+layer boundaries and resumed losslessly.
 
 A record's packing is reconstructed from its witness when the record's
 layer is expanded; packings other than the retained witness are not
@@ -119,18 +120,23 @@ class SearchStats:
         return dataclasses.asdict(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class PatternRecord:
-    """Minimal hex counts per parity for one canonical code."""
+    """The minimal packings of one canonical code, one per parity.
+
+    A slot is its witness, the move sequence from the single-hex start;
+    a witness of length L builds L + 1 hexes, so the slot's hex count is
+    derived from it, never stored beside it.  None marks an empty slot.
+    """
 
     code: bytes
-    min_odd: int = None
-    min_even: int = None
     witness_odd: tuple = None
     witness_even: tuple = None
 
     def slot(self, parity):
-        return self.min_odd if parity == "odd" else self.min_even
+        """The slot's hex count, or None if it is empty."""
+        witness = self.witness(parity)
+        return None if witness is None else len(witness) + 1
 
     def witness(self, parity):
         return self.witness_odd if parity == "odd" else self.witness_even
@@ -144,11 +150,11 @@ class PatternRecord:
         ]
         return min(slots) if slots else None
 
-    def set_slot(self, parity, count, witness):
+    def set_slot(self, parity, witness):
         if parity == "odd":
-            self.min_odd, self.witness_odd = count, witness
+            self.witness_odd = witness
         else:
-            self.min_even, self.witness_even = count, witness
+            self.witness_even = witness
 
     @property
     def quad_count(self):
@@ -173,20 +179,19 @@ class SearchLedger:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The answer of search_min_packing: the target's fewest-hex count
+    and witness when found, else None for both, and the ledger that
+    decided it.  Not found means exhausted: no packing within the
+    budget."""
+
     found: bool
     count: int
     witness: tuple
-    exhausted: bool
     ledger: SearchLedger
 
-
-@dataclass(frozen=True)
-class TemplateHit:
-    code: bytes
-    odd_count: int
-    even_count: int
-    odd_witness: tuple
-    even_witness: tuple
+    @property
+    def exhausted(self):
+        return not self.found
 
 
 @dataclass(frozen=True)
@@ -239,8 +244,6 @@ def _slot_mismatch(rec, parity, reflection_invariant):
         packing, pattern = _replay(rec.witness(parity))
     except InvalidPlacement as err:
         return f"witness does not decode: {err}"
-    if len(packing.hexes) != rec.slot(parity):
-        return f"witness builds {len(packing.hexes)} hexes"
     if canonical_code(pattern, reflection_invariant) != rec.code:
         return "witness does not replay to its code"
     return None
@@ -251,7 +254,7 @@ def _fresh_ledger(options):
     code = canonical_code(
         extract_boundary(start), options.reflection_invariant
     )
-    rec = PatternRecord(code, min_odd=1, witness_odd=())
+    rec = PatternRecord(code, witness_odd=())
     return SearchLedger(records={code: rec}, layer=1, options=options)
 
 
@@ -304,7 +307,7 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
                 for parity in ("odd", "even"):
                     count = rec.slot(parity)
                     if count is not None and count > max_hexes:
-                        rec.set_slot(parity, None, None)
+                        rec.set_slot(parity, None)
                 if rec.best() is None:
                     del ledger.records[code]
             ledger.layer = max_hexes
@@ -352,9 +355,7 @@ def build_ledger(max_hexes, options=None, target=None, progress=None):
                 if succ is None:
                     succ = ledger.records[cand.code] = PatternRecord(cand.code)
                 if succ.slot(next_parity) is None:
-                    succ.set_slot(
-                        next_parity, layer + 1, witness + (cand.placement,)
-                    )
+                    succ.set_slot(next_parity, witness + (cand.placement,))
         ledger.layer = layer + 1
         if options.checkpoint_dir:
             save_checkpoint(ledger, options.checkpoint_dir)
@@ -367,8 +368,8 @@ def search_min_packing(target, max_hexes, options=None):
     """Minimum-hex packing whose boundary has the target canonical code.
 
     target may be a SurfacePattern or a code (bytes).  Returns a
-    SearchResult; exhausted=True means max_hexes was reached without
-    finding the target.
+    SearchResult; exhausted (not found) means max_hexes was reached
+    without finding the target.
     """
     if options is None:
         options = SearchOptions()
@@ -378,37 +379,30 @@ def search_min_packing(target, max_hexes, options=None):
     ledger = build_ledger(max_hexes, options, target=target)
     rec = ledger.records.get(target)
     if rec is None:
-        return SearchResult(False, None, None, True, ledger)
-    return SearchResult(True, *rec.best(), False, ledger)
+        return SearchResult(False, None, None, ledger)
+    return SearchResult(True, *rec.best(), ledger)
 
 
 def find_templates(max_hexes, options=None):
-    """Codes reached with both parities within max_hexes, with witnesses.
+    """The ledger's records that hold both parities within max_hexes.
 
-    Each emitted hit is verified by replaying both witnesses and
+    Records come fewest hexes first (by their larger slot), then in code
+    order.  Each is verified by replaying both witnesses and
     re-extracting the boundary codes.
     """
     if options is None:
         options = SearchOptions()
     ledger = build_ledger(max_hexes, options)
     hits = []
-    for code, rec in sorted(ledger.records.items()):
-        if rec.min_odd is None or rec.min_even is None:
+    for _, rec in sorted(ledger.records.items()):
+        if rec.witness_odd is None or rec.witness_even is None:
             continue
         for parity in ("odd", "even"):
             why = _slot_mismatch(rec, parity, options.reflection_invariant)
             if why is not None:
                 raise AssertionError(why)
-        hits.append(
-            TemplateHit(
-                code,
-                rec.min_odd,
-                rec.min_even,
-                rec.witness_odd,
-                rec.witness_even,
-            )
-        )
-    hits.sort(key=lambda h: (max(h.odd_count, h.even_count), h.code))
+        hits.append(rec)
+    hits.sort(key=lambda rec: max(rec.slot("odd"), rec.slot("even")))
     return tuple(hits)
 
 
@@ -692,6 +686,44 @@ def save_checkpoint(ledger, directory):
     )
 
 
+def _load_record(records, n, where, line):
+    """Add one layer-n file line's slot to records, after checking it.
+
+    The line's count is stored nowhere: it must be the layer number,
+    agree with the parity word and be the witness length plus one.
+    """
+    parts = line.split()
+    if len(parts) != 4:
+        raise CheckpointCorrupt(f"{where}: malformed record line")
+    code_hex, parity, count_s, tokens = parts
+    try:
+        code = bytes.fromhex(code_hex)
+        count = int(count_s)
+    except ValueError:
+        raise CheckpointCorrupt(f"{where}: bad code or count") from None
+    if parity not in ("odd", "even") or parity_word(count) != parity:
+        raise CheckpointCorrupt(f"{where}: parity does not match count")
+    if count != n:
+        raise CheckpointCorrupt(f"{where}: count {count} in layer-{n} file")
+    if tokens == "-":
+        witness = ()
+    else:
+        try:
+            witness = tuple(Placement.from_token(t) for t in tokens.split(";"))
+        except ValueError:
+            raise CheckpointCorrupt(f"{where}: bad placement token") from None
+    if len(witness) != count - 1:
+        raise CheckpointCorrupt(
+            f"{where}: witness length {len(witness)} for count {count}"
+        )
+    rec = records.get(code)
+    if rec is None:
+        rec = records[code] = PatternRecord(code)
+    if rec.witness(parity) is not None:
+        raise CheckpointCorrupt(f"{where}: duplicate {parity} slot for {code_hex}")
+    rec.set_slot(parity, witness)
+
+
 def load_checkpoint(directory):
     """Read a checkpoint back into a SearchLedger; validates a sample."""
     path = os.path.join(directory, MANIFEST_NAME)
@@ -751,55 +783,12 @@ def load_checkpoint(directory):
     records = {}
     for n, name in enumerate(names, start=1):
         try:
-            with open(os.path.join(directory, name)) as fh:
-                text = fh.read()
+            fh = open(os.path.join(directory, name))
         except FileNotFoundError:
             raise CheckpointCorrupt(f"missing layer file {name}") from None
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            parts = line.split()
-            if len(parts) != 4:
-                raise CheckpointCorrupt(f"{name}:{lineno}: malformed record line")
-            code_hex, parity, count_s, tokens = parts
-            try:
-                code = bytes.fromhex(code_hex)
-                count = int(count_s)
-            except ValueError:
-                raise CheckpointCorrupt(
-                    f"{name}:{lineno}: bad code or count"
-                ) from None
-            if parity not in ("odd", "even") or parity_word(count) != parity:
-                raise CheckpointCorrupt(
-                    f"{name}:{lineno}: parity does not match count"
-                )
-            if count != n:
-                raise CheckpointCorrupt(
-                    f"{name}:{lineno}: count {count} in layer-{n} file"
-                )
-            if tokens == "-":
-                witness = ()
-            else:
-                try:
-                    witness = tuple(
-                        Placement.from_token(t) for t in tokens.split(";")
-                    )
-                except ValueError:
-                    raise CheckpointCorrupt(
-                        f"{name}:{lineno}: bad placement token"
-                    ) from None
-            if len(witness) != count - 1:
-                raise CheckpointCorrupt(
-                    f"{name}:{lineno}: witness length {len(witness)} "
-                    f"for count {count}"
-                )
-            rec = records.get(code)
-            if rec is None:
-                rec = PatternRecord(code)
-                records[code] = rec
-            if rec.slot(parity) is not None:
-                raise CheckpointCorrupt(
-                    f"{name}:{lineno}: duplicate {parity} slot for {code_hex}"
-                )
-            rec.set_slot(parity, count, witness)
+        with fh:
+            for lineno, line in enumerate(fh, start=1):
+                _load_record(records, n, f"{name}:{lineno}", line)
         if n == 1 and records != _fresh_ledger(options).records:
             raise CheckpointCorrupt(f"{name} does not hold just the start state")
     ledger = SearchLedger(

@@ -142,6 +142,13 @@ def _half_edge_table(quads):
     return Q, opp, deg, ids
 
 
+def _reversed_quads(Q):
+    """A copy of Q with each quad's four entries reversed."""
+    rQ = Q[:]
+    rQ[0::4], rQ[1::4], rQ[2::4], rQ[3::4] = Q[3::4], Q[2::4], Q[1::4], Q[0::4]
+    return rQ
+
+
 def _mirror_table(Q, opp):
     """(rQ, ropp): the table of the reversed quads, from the direct one.
 
@@ -150,8 +157,7 @@ def _mirror_table(Q, opp):
     the other way, and ropp[h] = m(opp[m(h)]).  Dense ids and deg are
     those of the direct table.
     """
-    rQ = Q[:]
-    rQ[0::4], rQ[1::4], rQ[2::4], rQ[3::4] = Q[3::4], Q[2::4], Q[1::4], Q[0::4]
+    rQ = _reversed_quads(Q)
     mopp = opp[:]  # mopp[h] = opp[m(h)]
     mopp[0::4], mopp[2::4] = opp[2::4], opp[0::4]
     return rQ, [o if o & 1 else o ^ 2 for o in mopp]
@@ -177,27 +183,30 @@ def _rings(n):
     ]
 
 
-def _roots(Q, opp, deg):
+def _roots(dq, opp):
     """The half-edges whose (deg tail, deg head) pair is minimal, in order.
 
-    The minimal pair is isomorphism-invariant, so an isomorphism maps
-    roots onto roots, and a pattern and its mirror have the same number.
+    dq[h] is the degree of h's tail, so opp[h]'s is that of h's head.
+    One pass builds dq per pattern (see _canonical); its mirror's and
+    its memo bucket's are read from it.  The minimal pair is
+    isomorphism-invariant, so an isomorphism maps roots onto roots, and
+    a pattern and its mirror have the same number.
     """
-    dq = list(map(deg.__getitem__, Q))
     least = min(dq)
-    tails = list(compress(range(len(Q)), map(least.__eq__, dq)))
+    tails = list(compress(range(len(dq)), map(least.__eq__, dq)))
     heads = [dq[opp[h]] for h in tails]
     least = min(heads)
     return [h for h, d in zip(tails, heads) if d == least]
 
 
-def _tables(Q, opp, deg, roots, reflection_invariant):
+def _tables(Q, opp, dq, roots, reflection_invariant):
     """Yield (Q, opp, roots) of the direct table, then, with reflection,
-    those of the mirror table, which is built only when reached."""
+    those of the mirror table, which is built only when reached.  dq is
+    the direct table's (see _roots)."""
     yield Q, opp, roots
     if reflection_invariant:
         rQ, ropp = _mirror_table(Q, opp)
-        yield rQ, ropp, _roots(rQ, ropp, deg)
+        yield rQ, ropp, _roots(_reversed_quads(dq), ropp)
 
 
 def _walk(root, Q, opp, ring, nv, best):
@@ -264,14 +273,16 @@ def _canonical(p, reflection_invariant, table=None):
     labels[d] is the discovery label of vertex number d (-1 for a
     number no quad uses) and ids[d] its id in p.  With reflection the
     roots of the mirror table (the reversed quads) compete too.  table,
-    when given, is p's (Q, opp, deg, ids, roots), as CodeMemo built it.
+    when given, is p's (Q, opp, deg, ids, dq, roots), as CodeMemo built
+    it.
     """
     if table is None:
         Q, opp, deg, ids = _half_edge_table(p.quads)
-        roots = _roots(Q, opp, deg)
+        dq = list(map(deg.__getitem__, Q))
+        roots = _roots(dq, opp)
     else:
-        Q, opp, deg, ids, roots = table
-    tables = _tables(Q, opp, deg, roots, reflection_invariant)
+        Q, opp, deg, ids, dq, roots = table
+    tables = _tables(Q, opp, dq, roots, reflection_invariant)
     em, labels = _best_emission(tables, _rings(len(Q)), len(deg))
     return em, labels, ids
 
@@ -291,10 +302,10 @@ def canonical_code(p, reflection_invariant=True, *, _table=None):
     return struct.pack(f">{len(em)}H", *em)
 
 
-def _bucket_key(Q, deg, roots):
+def _bucket_key(Q, dq, roots):
     """A hash of the root count and the multiset of the quads' sorted
-    corner degrees: equal for isomorphic and mirrored patterns."""
-    dq = list(map(deg.__getitem__, Q))
+    corner degrees, read from the table Q's dq (see _roots): equal for
+    isomorphic and mirrored patterns."""
     corners = sorted(map(tuple, map(sorted, zip(dq[::4], dq[1::4], dq[2::4], dq[3::4]))))
     return hash((len(roots), *corners))
 
@@ -317,16 +328,17 @@ class CodeMemo:
 
     def code(self, p):
         Q, opp, deg, ids = _half_edge_table(p.quads)
-        roots = _roots(Q, opp, deg)
-        bucket = self._buckets.setdefault(_bucket_key(Q, deg, roots), [])
+        dq = list(map(deg.__getitem__, Q))
+        roots = _roots(dq, opp)
+        bucket = self._buckets.setdefault(_bucket_key(Q, dq, roots), [])
         if bucket:
-            tables = _tables(Q, opp, deg, roots, self.reflection_invariant)
+            tables = _tables(Q, opp, dq, roots, self.reflection_invariant)
             code = _match(bucket, tables, deg, _rings(len(Q)))
             if code is not None:
                 return code
         # a module global, so every full code passes through canonical_code
         code = canonical_code(
-            p, self.reflection_invariant, _table=(Q, opp, deg, ids, roots)
+            p, self.reflection_invariant, _table=(Q, opp, deg, ids, dq, roots)
         )
         bucket.append(code)
         return code

@@ -93,4 +93,4 @@ def all_moves(packing, pattern=None, *, sphere_mode=True, counters=None):
         )
         if cand is not None:
             out.append(cand)
-    return sorted(out, key=lambda m: m.placement.sort_key())
+    return sorted(out, key=lambda m: m.placement)

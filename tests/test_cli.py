@@ -239,6 +239,36 @@ def test_templates_exhaust_small_budget(capsys):
     assert "no parity pair" in out
 
 
+def test_templates_write_the_first_pair(tmp_path, capsys):
+    # without sphere mode two codes reach both parities within 4 hexes
+    prefix = str(tmp_path / "pair")
+    rc, out, _ = run(
+        capsys, "templates", "--max-hexes", "4", "--no-sphere-mode", "-o", prefix
+    )
+    assert rc == 0
+    lines = out.splitlines()
+    heads = [i for i, line in enumerate(lines) if line.startswith("template:")]
+    assert len(heads) == 2
+    codes = []
+    for i in heads:
+        _, _, code_hex, _, counts = lines[i].split()
+        assert counts == "3/4"
+        codes.append(bytes.fromhex(code_hex))
+    # tied on their larger count, the pairs come in code order
+    assert codes[0] < codes[1]
+    first = lines[heads[0]:heads[1]]
+    for parity, n in (("odd", 3), ("even", 4)):
+        path = tmp_path / f"pair_{parity}.witness"
+        assert f"wrote {path}" in lines
+        witness = parse_witness(path.read_text())
+        assert f"  {parity} witness: " + ";".join(
+            pl.token() for pl in witness
+        ) in first
+        packing = replay_witness(witness)
+        assert len(packing.hexes) == n
+        assert canonical_code(extract_boundary(packing)) == codes[0]
+
+
 # ---------------------------------------------------------------- grow-order
 
 

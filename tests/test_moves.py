@@ -108,7 +108,7 @@ def test_dedup_keeps_the_first_placement_per_successor_code():
     # the full product computes no code and is ordered by placement
     assert "codes" not in bare
     assert all(m.code == b"" for m in raw)
-    keys = [m.placement.sort_key() for m in raw]
+    keys = [m.placement for m in raw]
     assert keys == sorted(keys)
     coded = {}
     dedup = enumerate_moves(second, counters=coded)

@@ -38,6 +38,7 @@ def test_pattern_census_lists_tied_parity_pairs_in_code_order(monkeypatch, capsy
     # no parity pair exists within 6 hexes, so forge three on real codes
     # of distinct quad counts; a resumed ledger keeps its layer files'
     # record order, so the listing must not follow the insertion order
+    from hexpack.moves import Placement
     from hexpack.search import PatternRecord, SearchLedger, SearchOptions, build_ledger
 
     census = load_script("pattern_census")
@@ -50,8 +51,13 @@ def test_pattern_census_lists_tied_parity_pairs_in_code_order(monkeypatch, capsy
         f"  quads {quads[0]}: odd at 5 hexes, even at 6 hexes",
         f"  quads {quads[2]}: odd at 5 hexes, even at 6 hexes",
     ]
+    # a slot's count is its witness length plus one; the census replays none
+    pl = Placement(1, (0,), 0)
     for order in ((2, 0, 1), (1, 2, 0)):
-        records = {codes[i]: PatternRecord(codes[i], *slots[codes[i]]) for i in order}
+        records = {
+            codes[i]: PatternRecord(codes[i], *((pl,) * (n - 1) for n in slots[codes[i]]))
+            for i in order
+        }
         ledger = SearchLedger(records=records, layer=6, options=SearchOptions())
         monkeypatch.setattr(census, "build_ledger", lambda *args: ledger)
         assert census.main(["--max-hexes", "6"]) == 0

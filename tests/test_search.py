@@ -135,7 +135,7 @@ def test_admissible_pruning_never_changes_the_answer():
     assert pruned.ledger.stats.pruned == 1
     plain = build_ledger(4).records[target]
     assert pruned.found
-    assert pruned.count == plain.min_even
+    assert pruned.count == plain.slot("even")
     assert pruned.witness == plain.witness_even
 
 
@@ -148,7 +148,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(loaded.records) == set(ledger.records)
     for code in ledger.records:
         ra, rb = ledger.records[code], loaded.records[code]
-        assert (ra.min_odd, ra.min_even) == (rb.min_odd, rb.min_even)
+        assert (ra.slot("odd"), ra.slot("even")) == (rb.slot("odd"), rb.slot("even"))
         assert (ra.witness_odd, ra.witness_even) == (rb.witness_odd, rb.witness_even)
     assert os.path.exists(os.path.join(d, "manifest.json"))
     assert os.path.exists(os.path.join(d, "layer_003.records"))
@@ -189,7 +189,7 @@ def test_checkpoint_with_an_old_thread_count_resumes(tmp_path):
     assert set(resumed.records) == set(fresh.records)
     for code in fresh.records:
         ra, rb = resumed.records[code], fresh.records[code]
-        assert (ra.min_odd, ra.min_even) == (rb.min_odd, rb.min_even)
+        assert (ra.slot("odd"), ra.slot("even")) == (rb.slot("odd"), rb.slot("even"))
         assert (ra.witness_odd, ra.witness_even) == (rb.witness_odd, rb.witness_even)
     rs = resumed.stats
     rejected = [getattr(rs, "rejected_" + r) for r in REJECT_REASONS]
@@ -434,7 +434,7 @@ def test_checkpoint_without_the_start_state_is_refused(tmp_path):
 
     d = str(tmp_path / "ck")
     ledger = build_ledger(2, SearchOptions(checkpoint_dir=d))
-    two = next(c for c, rec in ledger.records.items() if rec.min_even == 2)
+    two = next(c for c, rec in ledger.records.items() if rec.slot("even") == 2)
     manifest_path = os.path.join(d, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
@@ -816,10 +816,10 @@ def test_find_templates_refuses_a_hit_that_does_not_replay(monkeypatch):
     import hexpack.search as search
 
     ledger = build_ledger(2)
-    two = next(rec for rec in ledger.records.values() if rec.min_even == 2)
+    two = next(rec for rec in ledger.records.values() if rec.slot("even") == 2)
     cube = canonical_code(cube_pattern())
     ledger.records = {
-        cube: PatternRecord(cube, 1, 2, (), two.witness_even),
+        cube: PatternRecord(cube, (), two.witness_even),
     }
     monkeypatch.setattr(search, "build_ledger", lambda *args: ledger)
     with pytest.raises(AssertionError, match="does not replay to its code"):
@@ -856,7 +856,7 @@ def test_each_slot_keeps_its_smallest_predecessor_and_placement(options, depth):
                 memo=CodeMemo(options.reflection_invariant),
             ):
                 witness = rec.witness(parity) + (m.placement,)
-                proposals.append((m.code, code, m.placement.sort_key(), witness))
+                proposals.append((m.code, code, m.placement, witness))
         for succ, _, _, witness in sorted(proposals, key=lambda t: t[:3]):
             if ledger.records[succ].slot(parity_word(n + 1)) == n + 1:
                 want.setdefault((succ, n + 1), witness)
