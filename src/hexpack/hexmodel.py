@@ -6,8 +6,8 @@ with corner k directly below corner k+4.  Everything here is purely
 combinatorial; coordinates live in :mod:`hexpack.geometry`.
 
 Values are immutable after construction (a complex builds its face
-index and vertex sets on first use and then keeps them) and all
-operations are pure functions.
+index and vertex sets on first use and then keeps them; a glued one
+gets both when it is made) and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -90,93 +90,65 @@ class HexComplex:
     """An immutable ordered collection of hexahedra over dense vertex ids.
 
     Construct through :func:`build_complex`, which validates all the
-    conformity invariants.  Instances built directly are not checked.
+    conformity invariants.  Instances built directly, or grown by
+    glued(), are not checked.  A complex is a plain value: it holds its
+    hexes and its two indexes, and no link to the complex it grew from.
     """
 
-    __slots__ = ("vertex_count", "hexes", "_face_index", "_vertex_sets",
-                 "_grown_from")
+    __slots__ = ("vertex_count", "hexes", "_face_index", "_vertex_sets")
 
     def __init__(self, vertex_count, hexes):
         self.vertex_count = int(vertex_count)
         self.hexes = tuple(tuple(h) for h in hexes)
         self._face_index = self._vertex_sets = None
-        # the complex this one was made from by glued(), until both
-        # indexes are built
-        self._grown_from = None
 
     @property
     def face_index(self):
         """Map from face key to the (hex index, face index) incidences.
 
-        Keys come in (hex, face) order of their first incidence.  A
-        complex made by glued() takes a copy of its predecessor's index
-        and adds its last hex's 6 incidences: a key that hex shares
-        keeps its place, a new key goes last, in face order.  That is
-        the dict a rebuild makes, so boundary_items keeps its order.
-        Any other complex builds the index from all its hexes.  Either
-        way it is built on first use.
+        Keys come in (hex, face) order of their first incidence, so
+        boundary_items keeps that order.  Built on first use, unless
+        glued() made this complex with it.
         """
         if self._face_index is None:
-            if self._grown_from is not None:
-                index = dict(self._grown_from.face_index)
-                hi = len(self.hexes) - 1
-                new_hex = self.hexes[hi]
+            index = {}
+            for hi, corners in enumerate(self.hexes):
                 for f in range(6):
-                    key = face_key(hex_face_cycle(new_hex, f))
-                    index[key] = index.get(key, ()) + ((hi, f),)
-            else:
-                index = {}
-                for hi, corners in enumerate(self.hexes):
-                    for f in range(6):
-                        key = face_key(hex_face_cycle(corners, f))
-                        index.setdefault(key, []).append((hi, f))
-                index = {k: tuple(v) for k, v in index.items()}
-            self._face_index = index
-            self._let_go()
+                    key = face_key(hex_face_cycle(corners, f))
+                    index.setdefault(key, []).append((hi, f))
+            self._face_index = {k: tuple(v) for k, v in index.items()}
         return self._face_index
 
     @property
     def vertex_sets(self):
-        """The set of every hex's corner set, as frozensets.
-
-        Like face_index it is built on first use, and a complex made by
-        glued() copies its predecessor's and adds its last hex's set.
-        """
+        """The set of every hex's corner set, as frozensets; built like
+        face_index."""
         if self._vertex_sets is None:
-            if self._grown_from is not None:
-                sets = set(self._grown_from.vertex_sets)
-                sets.add(frozenset(self.hexes[-1]))
-            else:
-                sets = set(map(frozenset, self.hexes))
-            self._vertex_sets = sets
-            self._let_go()
+            self._vertex_sets = set(map(frozenset, self.hexes))
         return self._vertex_sets
 
-    def _let_go(self):
-        # the predecessor's indexes are no longer needed once both of
-        # this complex's are built
-        if self._face_index is not None and self._vertex_sets is not None:
-            self._grown_from = None
-
     def glued(self, new_hex):
-        """This complex with new_hex, a tuple of 8 ids, appended; both
-        indexes carry on.
+        """This complex with new_hex, a tuple of 8 ids, appended.
 
-        The new complex copies this one's face_index and vertex_sets on
-        its own first use of each, so the two never share a mutable
-        container, and a candidate whose indexes are never read costs
-        no copy.  Old hexes are not copied one by one: the new hexes
-        tuple is this one's plus new_hex.  new_hex is not checked
-        (glue_hex does that).
+        The new complex is built with both indexes: a copy of this one's
+        face_index plus new_hex's 6 incidences (a key new_hex shares
+        keeps its place, a new key goes last, in face order: the dict a
+        rebuild makes), and a copy of its vertex_sets plus new_hex's set.
+        So a chain of glues keys each face once, and the two complexes
+        never share a mutable container.  Old hexes are not copied one
+        by one: the new hexes tuple is this one's plus new_hex.  new_hex
+        is not checked (moves.glue_hex does that).
         """
-        # build both of this complex's indexes, so it lets its own
-        # predecessor go: a chain of glues holds one predecessor, not all
-        self.face_index, self.vertex_sets
+        index = dict(self.face_index)
+        hi = len(self.hexes)
+        for f in range(6):
+            key = face_key(hex_face_cycle(new_hex, f))
+            index[key] = index.get(key, ()) + ((hi, f),)
         grown = HexComplex.__new__(HexComplex)
         grown.vertex_count = max(self.vertex_count, max(new_hex) + 1)
         grown.hexes = self.hexes + (new_hex,)
-        grown._face_index = grown._vertex_sets = None
-        grown._grown_from = self
+        grown._face_index = index
+        grown._vertex_sets = self.vertex_sets | {frozenset(new_hex)}
         return grown
 
     def hex_face(self, hi, f):

@@ -334,13 +334,15 @@ def decode_rotation(cfg, rotation):
 class MoveResult:
     """A realized candidate: the placement plus its effect.
 
-    code is the successor's canonical code as enumerate_moves hands it
-    out; it is b"" on the uncoded candidates _realize builds for
-    apply_move and grow orders.
+    new_hex is the glued hex's 8 vertex ids; the grown complex is
+    packing.glued(new_hex), which only a caller that keeps it builds.
+    pattern is the successor's boundary.  code is its canonical code as
+    enumerate_moves hands it out; it is b"" on the uncoded candidates
+    _realize builds for apply_move and grow orders.
     """
 
     placement: Placement
-    complex: HexComplex
+    new_hex: tuple
     pattern: SurfacePattern
     code: bytes
 
@@ -403,7 +405,7 @@ def _reject(counters, reason):
 
 
 def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
-    """Glue new_hex onto the packing: (complex, boundary pattern) or None.
+    """Glue new_hex onto the packing: the grown boundary pattern, or None.
 
     This is the one definition of a legal move, and _realize its one
     caller.  targets maps each glued face of new_hex to the index of the
@@ -422,15 +424,13 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     So an unglued face that lands on a surface quad is rejected here,
     in either orientation: that attachment belongs to a larger config.
     The returned pattern lists the unglued old quads, then the new ones.
-    The grown complex carries the packing's face index plus the new
-    hex's 6 keys, and its vertex sets plus the new hex's
-    (HexComplex.glued), so a chain of glues keys each face once, not
-    once per step, and a repeated vertex set is one set lookup.  Only
-    the connectivity test of a four-ring glue walks the whole new
-    surface; otherwise what a glue copies (the indexes, the hexes, the
-    quads) it copies with C-level calls, and no check loops over the
-    packing's hexes or the pattern's quads.  A rejection is counted in
-    counters under "euler" or "conformity".
+    No complex is built: packing.glued(new_hex) is the grown one, for
+    the callers that keep it.  A repeated vertex set is one lookup in
+    the packing's vertex sets.  Only the connectivity test of a
+    four-ring glue walks the whole new surface; otherwise the quads are
+    copied with C-level calls, and no check loops over the packing's
+    hexes or the pattern's quads.  A rejection is counted in counters
+    under "euler" or "conformity".
     """
     mask = 0
     for f in targets:
@@ -486,13 +486,13 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     # the old surface in two, which only the whole surface can tell.
     if splits and boundary_violations(succ_quads):
         return _reject(counters, "conformity")
-    return packing.glued(new_hex), SurfacePattern._of_tuples(tuple(succ_quads))
+    return SurfacePattern._of_tuples(tuple(succ_quads))
 
 
 def _realize(packing, pattern, cfg, seeds, *, sphere_mode, counters=None,
              ids=None, mates=()):
-    """Validate one candidate attachment and build it: a MoveResult
-    without a code, or None when it is not a legal move.
+    """Validate one candidate attachment: a MoveResult without a code,
+    or None when it is not a legal move.  No complex is built.
 
     This is the one path from a seeding to a placement: search, witness
     replay and grow orders all reach glue_hex through it.  seeds holds
@@ -530,14 +530,15 @@ def _realize(packing, pattern, cfg, seeds, *, sphere_mode, counters=None,
             v = nxt if ids is None else ids[c]
             nxt += 1
         new_hex.append(v)
-    grown = glue_hex(
-        packing, pattern, tuple(new_hex), targets,
+    new_hex = tuple(new_hex)
+    succ = glue_hex(
+        packing, pattern, new_hex, targets,
         sphere_mode=sphere_mode, counters=counters,
     )
-    if grown is None:
+    if succ is None:
         return None
     rotation = encode_rotation(r for _, _, r in seeds)
-    return MoveResult(Placement(cfg.id, quads, rotation), *grown, b"")
+    return MoveResult(Placement(cfg.id, quads, rotation), new_hex, succ, b"")
 
 
 _ORBITS = {cfg.id: _orbit_tables(cfg) for cfg in _CONFIGS}
@@ -562,7 +563,7 @@ def _seed_choices(cfg, nquads, rotations=None, increasing=False):
 def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
                     counters=None, memo=None):
     """The legal attachments of one new hex, one per successor, as
-    MoveResults.
+    MoveResults; none builds its grown complex.
 
     Each result carries its successor's canonical code, and of the
     placements that reach one code only the smallest (see Placement)
@@ -617,7 +618,7 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
             pl = cand.placement
             first = kept.get(code)
             if first is None or pl < first.placement:
-                kept[code] = MoveResult(pl, cand.complex, cand.pattern, code)
+                kept[code] = MoveResult(pl, cand.new_hex, cand.pattern, code)
     return [kept[code] for code in sorted(kept)]
 
 
@@ -653,7 +654,7 @@ def apply_move(packing, placement, pattern=None):
         raise InvalidPlacement(
             f"placement {placement.token()} does not fit this packing"
         )
-    return cand.complex, cand.pattern
+    return packing.glued(cand.new_hex), cand.pattern
 
 
 def initial_packing():

@@ -455,7 +455,7 @@ def find_grow_order(c, options=None):
     no order exists under the configured move rules.
 
     A step costs the same however many hexes the prefix holds, apart
-    from the C-level copies a glue makes (see moves.glue_hex): each hex
+    from the C-level copies a glue makes (see HexComplex.glued): each hex
     keeps a bit mask of its faces glued to the prefix, the unplaced
     hexes sit in one frontier set per number of glued faces, and both
     are updated when a hex is placed and undone when it is taken back.
@@ -585,7 +585,6 @@ def find_grow_order(c, options=None):
                     sub, pattern, cfg, seeds,
                     sphere_mode=options.sphere_mode, ids=corners,
                 )
-            sub = pattern = None
             if move is None:
                 # the node fails; its parent goes on from a rebuilt prefix
                 stack.pop()
@@ -593,9 +592,10 @@ def find_grow_order(c, options=None):
                 take_back()
                 state = None
             else:
-                state = (move.complex, move.pattern)
+                state = (sub.glued(move.new_hex), move.pattern)
                 place(h, corners)
                 witness.append(move.placement)
+            sub = pattern = None
         if len(order) == n:
             break
     else:
@@ -619,12 +619,26 @@ def _options_to_json(options):
     }
 
 
+def _json_typed(value, kind, what):
+    """value when JSON gave it as kind (bool, or an int that is not a
+    bool); raises TypeError otherwise, which the manifest readers turn
+    into CheckpointCorrupt."""
+    if type(value) is not kind:
+        name = "boolean" if kind is bool else "integer"
+        raise TypeError(f"{what} is {value!r}, not a JSON {name}")
+    return value
+
+
 def _options_from_json(data, checkpoint_dir):
     try:
         return SearchOptions(
-            sphere_mode=bool(data["sphere_mode"]),
-            reflection_invariant=bool(data["reflection_invariant"]),
-            allowed_configs=tuple(int(x) for x in data["allowed_configs"]),
+            sphere_mode=_json_typed(data["sphere_mode"], bool, "sphere_mode"),
+            reflection_invariant=_json_typed(
+                data["reflection_invariant"], bool, "reflection_invariant"
+            ),
+            allowed_configs=tuple(
+                _json_typed(x, int, "config id") for x in data["allowed_configs"]
+            ),
             checkpoint_dir=checkpoint_dir,
         )
     except (KeyError, TypeError, ValueError) as err:
@@ -748,17 +762,20 @@ def load_checkpoint(directory):
         )
     options = _options_from_json(manifest.get("options", {}), directory)
     try:
-        layer = int(manifest["layer"])
+        layer = _json_typed(manifest["layer"], int, "layer")
         files = list(manifest["files"])
         max_hexes = manifest["max_hexes"]
-        max_hexes = None if max_hexes is None else int(max_hexes)
+        if max_hexes is not None:
+            _json_typed(max_hexes, int, "max_hexes")
         target = manifest["target"]
         target = None if target is None else bytes.fromhex(target)
         stats_d = dict(manifest.get("stats", {}))
+        for name, count in stats_d.items():
+            _json_typed(count, int, f"stats count {name}")
         # older manifests count double-glue and maximality rejections
         # apart; glue_hex now rejects those candidates for conformity
         stats_d["rejected_conformity"] = sum(
-            int(stats_d.get(k, 0))
+            stats_d.get(k, 0)
             for k in (
                 "rejected_conformity",
                 "rejected_double_glue",
@@ -767,7 +784,7 @@ def load_checkpoint(directory):
         )
         stats = SearchStats(
             **{
-                f.name: int(stats_d.get(f.name, 0))
+                f.name: stats_d.get(f.name, 0)
                 for f in dataclasses.fields(SearchStats)
             }
         )

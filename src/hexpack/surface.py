@@ -27,7 +27,13 @@ from functools import cache, cached_property
 from itertools import chain, compress, product
 
 from .errors import Disconnected, raise_violations
-from .hexmodel import boundary_violations, face_key, oriented_key
+from .hexmodel import (
+    HexComplex,
+    boundary_violations,
+    extract_boundary,
+    face_key,
+    oriented_key,
+)
 
 
 class SurfacePattern:
@@ -200,13 +206,15 @@ def _roots(dq, opp):
 
 
 def _tables(Q, opp, dq, roots, reflection_invariant):
-    """Yield (Q, opp, roots) of the direct table, then, with reflection,
-    those of the mirror table, which is built only when reached.  dq is
-    the direct table's (see _roots)."""
-    yield Q, opp, roots
+    """Yield (Q, opp, dq, roots) of the direct table, then, with
+    reflection, those of the mirror table, which is built only when
+    reached.  dq is the direct table's (see _roots); the mirror's is its
+    quads reversed."""
+    yield Q, opp, dq, roots
     if reflection_invariant:
         rQ, ropp = _mirror_table(Q, opp)
-        yield rQ, ropp, _roots(_reversed_quads(dq), ropp)
+        rdq = _reversed_quads(dq)
+        yield rQ, ropp, rdq, _roots(rdq, ropp)
 
 
 def _walk(root, Q, opp, ring, nv, best):
@@ -259,7 +267,7 @@ def _best_emission(tables, ring, nv):
     it is not the minimum over all half-edges.
     """
     best = best_labels = None
-    for Q, opp, roots in tables:
+    for Q, opp, _, roots in tables:
         for root in roots:
             emission, labels = _walk(root, Q, opp, ring, nv, best)
             if labels is not None:
@@ -302,9 +310,9 @@ def canonical_code(p, reflection_invariant=True, *, _table=None):
     return struct.pack(f">{len(em)}H", *em)
 
 
-def _bucket_key(Q, dq, roots):
+def _bucket_key(dq, roots):
     """A hash of the root count and the multiset of the quads' sorted
-    corner degrees, read from the table Q's dq (see _roots): equal for
+    corner degrees, read from the table's dq (see _roots): equal for
     isomorphic and mirrored patterns."""
     corners = sorted(map(tuple, map(sorted, zip(dq[::4], dq[1::4], dq[2::4], dq[3::4]))))
     return hash((len(roots), *corners))
@@ -330,10 +338,10 @@ class CodeMemo:
         Q, opp, deg, ids = _half_edge_table(p.quads)
         dq = list(map(deg.__getitem__, Q))
         roots = _roots(dq, opp)
-        bucket = self._buckets.setdefault(_bucket_key(Q, dq, roots), [])
+        bucket = self._buckets.setdefault(_bucket_key(dq, roots), [])
         if bucket:
             tables = _tables(Q, opp, dq, roots, self.reflection_invariant)
-            code = _match(bucket, tables, deg, _rings(len(Q)))
+            code = _match(bucket, tables, len(deg), _rings(len(Q)))
             if code is not None:
                 return code
         # a module global, so every full code passes through canonical_code
@@ -344,7 +352,7 @@ class CodeMemo:
         return code
 
 
-def _match(codes, tables, deg, ring):
+def _match(codes, tables, nv, ring):
     """The first of codes whose emission a root of the tables emits, or None.
 
     A rooted emission describes the labelled map completely, so a match
@@ -352,7 +360,8 @@ def _match(codes, tables, deg, ring):
     winning root of an isomorphic class maps onto a root of one of the
     tables: the direct one, or with reflection the mirror, which is
     built only when the direct roots match no code.  Only roots whose
-    quad shows the degrees of labels 1, 2, 3 of the code are walked.
+    quad shows the degrees of labels 1, 2, 3 of the code, read from the
+    table's dq, are walked.  nv is the tables' vertex number count.
     """
     n = len(ring)
     ems = []
@@ -360,12 +369,12 @@ def _match(codes, tables, deg, ring):
         if len(code) == 2 * n:
             em = struct.unpack(f">{n}H", code)
             ems.append((code, em, (em.count(1), em.count(2), em.count(3))))
-    for Q, opp, roots in tables:
+    for Q, opp, dq, roots in tables:
         for code, em, triple in ems:
             for r in roots:
                 _, a, b, c = ring[r]
-                if (deg[Q[a]], deg[Q[b]], deg[Q[c]]) == triple and _walk(
-                    r, Q, opp, ring, len(deg), em
+                if (dq[a], dq[b], dq[c]) == triple and _walk(
+                    r, Q, opp, ring, nv, em
                 )[0] is em:
                     return code
     return None
@@ -404,8 +413,6 @@ def relabel(p, mapping):
 
 def cube_pattern():
     """The 6-quad boundary of a single hex on vertex ids 0..7."""
-    from .hexmodel import HexComplex, extract_boundary
-
     return extract_boundary(HexComplex(8, [(0, 1, 2, 3, 4, 5, 6, 7)]))
 
 

@@ -137,7 +137,7 @@ def test_criterion_4_oracle_equivalence(capsys):
             if hexes == depth:
                 return
             for m in all_moves(packing, pattern):
-                walk(m.complex, m.pattern, hexes + 1)
+                walk(packing.glued(m.new_hex), m.pattern, hexes + 1)
 
         start = initial_packing()
         walk(start, extract_boundary(start), 1)

@@ -150,13 +150,16 @@ def reference_dedup(packing, reflection_invariant, sphere_mode=True):
             code = codes[m.pattern] = canonical_code(m.pattern, reflection_invariant)
         firsts.setdefault(code, m)
     return [
-        (code, m.placement, m.complex.hexes, m.pattern.quads)
+        (code, m.placement, packing.glued(m.new_hex).hexes, m.pattern.quads)
         for code, m in sorted(firsts.items())
     ]
 
 
-def kept_results(results):
-    return [(m.code, m.placement, m.complex.hexes, m.pattern.quads) for m in results]
+def kept_results(packing, results):
+    return [
+        (m.code, m.placement, packing.glued(m.new_hex).hexes, m.pattern.quads)
+        for m in results
+    ]
 
 
 @pytest.mark.parametrize("reflection", [True, False])
@@ -175,7 +178,7 @@ def test_layer_memo_keeps_the_pairs_of_a_full_code_per_candidate(reflection):
         for witness in witnesses:
             packing = replay_witness(witness)
             got = enumerate_moves(packing, memo=memo)
-            assert kept_results(got) == reference_dedup(packing, reflection)
+            assert kept_results(packing, got) == reference_dedup(packing, reflection)
 
 
 def test_seedings_on_one_glued_quad_set_build_one_successor():
@@ -240,7 +243,7 @@ def test_layer_three_pattern_census():
     # one of the 14-quad patterns has exactly five distinct successors
     succ_counts = {}
     for m in moves:
-        packing = m.complex
+        packing = second.glued(m.new_hex)
         succ_counts.setdefault(len(m.pattern.quads), []).append(
             len(enumerate_moves(packing))
         )
@@ -252,7 +255,8 @@ def test_apply_move_matches_enumerated_successor():
     start = initial_packing()
     for m in all_moves(start):
         c2, p2 = apply_move(start, m.placement)
-        assert c2 == m.complex
+        assert c2.hexes[-1] == m.new_hex
+        assert c2 == start.glued(m.new_hex)
         assert p2 == m.pattern
         assert p2 == extract_boundary(c2)  # same set of oriented quads
 
@@ -268,8 +272,8 @@ def test_quad_count_change_tracks_glued_faces():
         k = config_by_id(m.placement.config_id).size
         assert len(m.pattern.quads) - len(pattern.quads) == 6 - 2 * k
         assert euler_characteristic(m.pattern) == 2
-        assert check_conformity(m.complex).ok
-        packing = m.complex
+        packing = packing.glued(m.new_hex)
+        assert check_conformity(packing).ok
 
 
 def pocket_complex():
@@ -290,7 +294,7 @@ def test_pocket_fill_uses_only_the_maximal_config():
     }
     assert len(cavity) == 8
     moves = all_moves(pocket)
-    fills = [m for m in moves if set(m.complex.hexes[-1]) == cavity]
+    fills = [m for m in moves if set(pocket.glued(m.new_hex).hexes[-1]) == cavity]
     assert len(fills) == 4  # one five-face glue, seen in 4 orientations
     assert {config_by_id(m.placement.config_id).size for m in fills} == {5}
     # without the sphere restriction, twisted bridges between facing walls
@@ -300,7 +304,7 @@ def test_pocket_fill_uses_only_the_maximal_config():
     free = all_moves(pocket, sphere_mode=False)
     sizes = {}
     for m in free:
-        if set(m.complex.hexes[-1]) == cavity:
+        if set(pocket.glued(m.new_hex).hexes[-1]) == cavity:
             k = config_by_id(m.placement.config_id).size
             sizes[k] = sizes.get(k, 0) + 1
     # 4 ordered wall pairs x 16 relative rotations, minus 4 aligned each
@@ -402,15 +406,22 @@ def test_two_opposite_rotation_encoding():
 
 def test_grown_complexes_carry_the_rebuilt_face_index(monkeypatch):
     grown = []
-    plain = moves.glue_hex
+    plain_glued = HexComplex.glued
+    plain_glue = moves.glue_hex
 
-    def recording_glue(*args, **kwargs):
-        res = plain(*args, **kwargs)
+    def recording_glued(self, new_hex):
+        grown.append(plain_glued(self, new_hex))
+        return grown[-1]
+
+    def gluing_glue(packing, pattern, new_hex, *args, **kwargs):
+        # every legal candidate is glued too, not only those kept
+        res = plain_glue(packing, pattern, new_hex, *args, **kwargs)
         if res is not None:
-            grown.append(res[0])
+            packing.glued(new_hex)
         return res
 
-    monkeypatch.setattr(moves, "glue_hex", recording_glue)
+    monkeypatch.setattr(HexComplex, "glued", recording_glued)
+    monkeypatch.setattr(moves, "glue_hex", gluing_glue)
     build_ledger(4)
     build_ledger(4, SearchOptions(sphere_mode=False))
     assert find_grow_order(subdivide_hex(parity_odd17())).found
@@ -422,6 +433,29 @@ def test_grown_complexes_carry_the_rebuilt_face_index(monkeypatch):
         assert c.vertex_sets == set(map(frozenset, c.hexes))
 
 
+def test_a_candidate_builds_no_complex(monkeypatch):
+    calls = [0]
+    plain = HexComplex.glued
+
+    def counting_glued(self, new_hex):
+        calls[0] += 1
+        return plain(self, new_hex)
+
+    states = ledger_states(4, SearchOptions())
+    assert len(states) == 18
+    monkeypatch.setattr(HexComplex, "glued", counting_glued)
+    for packing in states:
+        assert enumerate_moves(packing)
+    assert calls[0] == 0
+    apply_move(states[0], enumerate_moves(states[0])[0].placement)
+    assert calls[0] == 1
+    # one glue per replay step of each state expanded, none per candidate
+    calls[0] = 0
+    ledger = build_ledger(6)
+    assert ledger.stats.states_expanded == 84
+    assert calls[0] == 310
+
+
 def test_a_glue_leaves_the_predecessor_index_alone():
     states = ledger_states(3, SearchOptions(sphere_mode=False))
     for packing in states + [pocket_complex()[0]]:
@@ -430,8 +464,9 @@ def test_a_glue_leaves_the_predecessor_index_alone():
         moves_seen = all_moves(packing, sphere_mode=False)
         assert moves_seen
         for cand in moves_seen:
-            assert cand.complex.face_index is not packing.face_index
-            assert cand.complex.vertex_sets is not packing.vertex_sets
+            grown = packing.glued(cand.new_hex)
+            assert grown.face_index is not packing.face_index
+            assert grown.vertex_sets is not packing.vertex_sets
         assert list(packing.face_index.items()) == before
         assert packing.vertex_sets == sets_before
 
@@ -493,9 +528,10 @@ def assert_local_rule_matches_whole_complex_rule(packing, sphere_mode):
         want = whole_complex_rule(packing, pattern, cfg, seeds, sphere_mode)
         assert (got is None) == (want is None), (cfg.name, seeds, sphere_mode)
         if got is not None:
-            assert got.complex == want[0]
+            grown = packing.glued(got.new_hex)
+            assert grown == want[0]
             assert got.pattern.quads == tuple(want[1])
-            assert got.pattern == extract_boundary(got.complex)
+            assert got.pattern == extract_boundary(grown)
 
 
 @pytest.mark.parametrize("sphere_mode", [True, False])
@@ -529,7 +565,7 @@ def test_one_seeding_per_orbit_keeps_the_full_products_first_placements(
         got = enumerate_moves(
             packing, sphere_mode=False, memo=CodeMemo(reflection)
         )
-        assert kept_results(got) == reference_dedup(
+        assert kept_results(packing, got) == reference_dedup(
             packing, reflection, sphere_mode=False
         )
 
@@ -568,9 +604,9 @@ def test_every_mate_of_a_seeding_builds_the_same_successor(seed, sphere_mode):
     rnd = random.Random(seed)
     packing = initial_packing()
     for _ in range(rnd.randrange(4)):
-        packing = rnd.choice(
+        packing = packing.glued(rnd.choice(
             enumerate_moves(packing, sphere_mode=sphere_mode)
-        ).complex
+        ).new_hex)
     pattern = extract_boundary(packing)
     realized = 0
     for cfg, seeds in seedings(pattern, sphere_mode):
@@ -590,7 +626,9 @@ def test_every_mate_of_a_seeding_builds_the_same_successor(seed, sphere_mode):
                 assert canonical_code(mate.pattern, False) == canonical_code(
                     cand.pattern, False
                 )
-                assert set(mate.complex.hexes[-1]) == set(cand.complex.hexes[-1])
+                assert set(packing.glued(mate.new_hex).hexes[-1]) == set(
+                    packing.glued(cand.new_hex).hexes[-1]
+                )
                 placements.add(mate.placement)
         if cand is not None:
             # a legal seeding has as many mates as its stabilizer
@@ -614,11 +652,13 @@ def test_no_minimal_packing_one_move_past_a_witness_reaches_a_smaller_slot():
             layer = rec.slot(parity)
             if layer is None or layer > 3:
                 continue
-            for m in all_moves(replay_witness(rec.witness(parity))):
+            packing = replay_witness(rec.witness(parity))
+            for m in all_moves(packing):
                 if slot(canonical_code(m.pattern), layer + 1) != layer + 1:
                     continue
                 expanded += 1
                 memo = memos.setdefault(layer + 2, CodeMemo())
-                for succ in enumerate_moves(m.complex, m.pattern, memo=memo):
+                grown = packing.glued(m.new_hex)
+                for succ in enumerate_moves(grown, m.pattern, memo=memo):
                     assert slot(succ.code, layer + 2) <= layer + 2
     assert expanded == 294

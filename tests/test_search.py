@@ -355,6 +355,21 @@ def _first_record(edit):
         CheckpointCorrupt, "bad manifest", id="no-layer",
     ),
     pytest.param(
+        _manifest(lambda m: m["options"].update(sphere_mode="false")),
+        CheckpointCorrupt, "sphere_mode is 'false', not a JSON boolean",
+        id="mode-not-a-boolean",
+    ),
+    pytest.param(
+        _manifest(lambda m: m["options"].update(allowed_configs=[2.7])),
+        CheckpointCorrupt, "config id is 2.7, not a JSON integer",
+        id="config-id-not-an-integer",
+    ),
+    pytest.param(
+        _manifest(lambda m: m.update(max_hexes=3.9)),
+        CheckpointCorrupt, "max_hexes is 3.9, not a JSON integer",
+        id="budget-not-an-integer",
+    ),
+    pytest.param(
         _first_record(lambda c, p, n, t: [f"zz{c} {p} {n} {t}"]),
         CheckpointCorrupt, "bad code", id="bad-code",
     ),
@@ -686,7 +701,7 @@ def reference_find_grow_order(c, options=None):
             )
             if move is None:
                 continue
-            state = (move.complex, move.pattern)
+            state = (sub.glued(move.new_hex), move.pattern)
             placed.append(corners)
             witness.append(move.placement)
             # hold no prefix state while deeper levels run, or memory

@@ -312,7 +312,7 @@ def test_memo_tells_apart_patterns_forced_into_one_bucket(monkeypatch):
         patterns.append(mirrored(patterns[-1]))
     rnd = random.Random(8)
     patterns += [shuffled_relabel(p, rnd) for p in patterns]
-    monkeypatch.setattr(surface, "_bucket_key", lambda Q, deg, roots: 0)
+    monkeypatch.setattr(surface, "_bucket_key", lambda dq, roots: 0)
     full = counting_full_codes(monkeypatch)
     for reflection in (True, False):
         want = [canonical_code(p, reflection) for p in patterns]
