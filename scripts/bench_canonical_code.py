@@ -17,13 +17,17 @@ suite it starts, to one CPU.  It reports:
   reflection), its ledger held to ``NS_LEDGER_5_SHA256``;
 - ``full_codes_6``: the ``canonical_code`` calls ``build_ledger(6)``
   makes, through whichever module's binding;
+- ``realize_calls_6`` and ``match_walks_6``: the ``_realize`` and
+  ``_match_walk`` calls ``build_ledger(6)`` makes, counted the same way
+  (a checkout without ``_match_walk`` reads null);
 - ``memo_calls_6``: the ``CodeMemo.code`` calls ``build_ledger(6)``
   makes;
 - ``codes``: every successor pattern ``build_ledger(6)`` realizes (each
   candidate ``enumerate_moves`` accepts, before deduplication), coded
   again with and without reflection (fresh ``SurfacePattern`` objects
   each pass, best of three passes), with the per-call time and a digest
-  of the codes;
+  of the codes in sorted order, which does not depend on the order the
+  candidates are realized in;
 - ``replay_6_s``: ``_replay`` of every slot of ``build_ledger(6)``, each
   replayed boundary's code held to its record's (best of three passes);
 - ``grow_orders_s``: ``find_grow_order`` on the three bundled meshes and
@@ -107,6 +111,7 @@ def main(argv=None):
     sys.path[:0] = [str(root / "src"), str(root)]
     import hexpack as hp
     import hexpack.moves as moves
+    import hexpack.surface as surface
     from hexpack.search import SearchOptions, _replay, build_ledger
     from hexpack.surface import CodeMemo, SurfacePattern, canonical_code
     from perfbench.workloads import CENSUS_SHA256, ledger_sha256
@@ -207,41 +212,47 @@ def main(argv=None):
         timed[name] = min(times)
 
     coded = []
-    full = [0]
-    memo_calls = [0]
+    calls = {"canonical_code": 0, "_realize": 0, "_match_walk": 0, "memo": 0}
     plain_realize = moves._realize
 
     def recording_realize(*args, **kwargs):
+        calls["_realize"] += 1
         cand = plain_realize(*args, **kwargs)
         if cand is not None and sys._getframe(1).f_code.co_name == "enumerate_moves":
             coded.append(cand.pattern.quads)
         return cand
 
-    def counting_code(pattern, reflection_invariant=True, **table):
-        full[0] += 1
-        return canonical_code(pattern, reflection_invariant, **table)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    plain_memo_code = CodeMemo.code
-
-    def counting_memo_code(self, pattern):
-        memo_calls[0] += 1
-        return plain_memo_code(self, pattern)
-
+    # every module binding of each counted function, so a call counts
+    # whichever module makes it
+    plain = {"_realize": plain_realize}
+    wrappers = {"_realize": recording_realize}
+    for name in ("canonical_code", "_match_walk"):
+        if hasattr(surface, name):
+            plain[name] = getattr(surface, name)
+            wrappers[name] = counting(name, plain[name])
     bindings = [
-        mod for name, mod in list(sys.modules.items())
-        if name.startswith("hexpack") and getattr(mod, "canonical_code", None) is canonical_code
+        (mod, name)
+        for modname, mod in list(sys.modules.items())
+        if modname.startswith("hexpack")
+        for name in wrappers
+        if getattr(mod, name, None) is plain[name]
     ]
-    moves._realize = recording_realize
-    CodeMemo.code = counting_memo_code
-    for mod in bindings:
-        mod.canonical_code = counting_code
+    plain_memo_code = CodeMemo.code
+    CodeMemo.code = counting("memo", plain_memo_code)
+    for mod, name in bindings:
+        setattr(mod, name, wrappers[name])
     try:
         build_ledger(6)
     finally:
-        moves._realize = plain_realize
         CodeMemo.code = plain_memo_code
-        for mod in bindings:
-            mod.canonical_code = canonical_code
+        for mod, name in bindings:
+            setattr(mod, name, plain[name])
 
     codes = {"patterns": len(coded)}
     for reflection in (True, False):
@@ -254,7 +265,7 @@ def main(argv=None):
         codes["reflection" if reflection else "plain"] = {
             "total_s": round(min(times), 3),
             "per_call_us": round(min(times) / len(coded) * 1e6, 1),
-            "sha256": hashlib.sha256(b"|".join(got)).hexdigest(),
+            "sha256": hashlib.sha256(b"|".join(sorted(got))).hexdigest(),
         }
 
     child = subprocess.run(
@@ -293,8 +304,10 @@ def main(argv=None):
         "init_interior_s": round(timed["init_interior"], 3),
         "embed_iterations": embedded["iterations"],
         "embed_sha256": embedded["sha256"],
-        "full_codes_6": full[0],
-        "memo_calls_6": memo_calls[0],
+        "full_codes_6": calls["canonical_code"],
+        "memo_calls_6": calls["memo"],
+        "realize_calls_6": calls["_realize"],
+        "match_walks_6": calls["_match_walk"] if "_match_walk" in wrappers else None,
         "codes": codes,
         "pyramid_9_s": round(pyramid_9["s"], 2),
         "pyramid_9_records": pyramid_9["records"],

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidPlacement
@@ -27,11 +28,11 @@ from .hexmodel import (
     face_key,
     hex_face_cycle,
 )
-from .surface import CodeMemo, SurfacePattern
+from .surface import CodeMemo, SurfacePattern, _half_edge_table, _rings
 
 # Why _realize turned a candidate down, in the order it checks; each is
 # a key of the counters dict that enumerate_moves fills.
-REJECT_REASONS = ("propagate", "orbit", "identification", "euler", "conformity")
+REJECT_REASONS = ("propagate", "identification", "euler", "conformity")
 
 
 def _isometries():
@@ -202,12 +203,13 @@ def _orbit_tables(cfg):
     moves some face to another quad, so its mate has other quads: mates
     holds its face images, sigma(f) for f in cfg.faces.  A seeding is
     the smallest placement of its orbit when its rotations are listed
-    and no mate's quads are smaller.  When cfg is two one-face
-    components and every mate swaps them (two-opposite), a mate is
-    smaller exactly when the second seed's quad is below the first's,
-    which needs no surface: then increasing is True, the seed quads are
-    taken in increasing order only (see _seed_choices), and no mate is
-    left to check.
+    and no mate's quads are smaller; _surface_seedings yields no other,
+    deciding the mates from the surface before anything is propagated.
+    When cfg is two one-face components and every mate swaps them
+    (two-opposite), a mate is smaller exactly when the second seed's
+    quad is below the first's, which needs no surface: then increasing
+    is True, the seed quads are taken in increasing order only (see
+    _seed_choices), and no mate is left to check.
     """
     firsts = [comp[0] for comp in _COMPONENTS[cfg.id]]
     turns, mates = [], []
@@ -303,16 +305,17 @@ class Placement:
     rotation: int
 
     def token(self):
-        return f"{self.config_id}:{self.rotation}:" + ",".join(
-            str(q) for q in self.quads
-        )
+        return f"{self.config_id}:{self.rotation}:" + ",".join(map(str, self.quads))
 
     @classmethod
     def from_token(cls, text):
+        """The placement whose token() is text; ValueError for any other
+        text, such as '+1:0:03', which int() would read as '1:0:3'."""
         cid, rot, quads = text.split(":")
-        return cls(
-            int(cid), tuple(int(q) for q in quads.split(",")), int(rot)
-        )
+        pl = cls(int(cid), tuple(map(int, quads.split(","))), int(rot))
+        if pl.token() != text:
+            raise ValueError(f"placement token {text!r} is not as written")
+        return pl
 
 
 def encode_rotation(rots):
@@ -430,7 +433,10 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
     four-ring glue walks the whole new surface; otherwise the quads are
     copied with C-level calls, and no check loops over the packing's
     hexes or the pattern's quads.  A rejection is counted in counters
-    under "euler" or "conformity".
+    under "euler" or "conformity".  enumerate_moves reads the first
+    conformity rule, one old hex per glued quad, off the surface before
+    it seeds a one-component config (see _surface_seedings); replays
+    and grow orders still reach it here.
     """
     mask = 0
     for f in targets:
@@ -490,7 +496,7 @@ def glue_hex(packing, pattern, new_hex, targets, *, sphere_mode, counters=None):
 
 
 def _realize(packing, pattern, cfg, seeds, *, sphere_mode, counters=None,
-             ids=None, mates=()):
+             ids=None):
     """Validate one candidate attachment: a MoveResult without a code,
     or None when it is not a legal move.  No complex is built.
 
@@ -502,22 +508,17 @@ def _realize(packing, pattern, cfg, seeds, *, sphere_mode, counters=None,
     surface (propagate) and must put them on distinct vertices
     (identification); every other rule is glue_hex's.  Corners off the
     glued faces get new ids, or ids[c] when ids is given (a grow order
-    keeps the ids of the complex it certifies).  mates, from
-    enumerate_moves, lists the face images of stabilizer elements of
-    cfg (see _orbit_tables); a seeding that one of them turns into a
-    placement on smaller quads builds the same hex as that placement
-    and is rejected under "orbit" once propagated.  counters, when
-    given, counts the rejection under its reason (one of
-    REJECT_REASONS).
+    keeps the ids of the complex it certifies).  enumerate_moves hands
+    it only seedings that propagate and are the smallest placement of
+    their orbit (see _surface_seedings); replays and grow orders place
+    what they are given.  counters, when given, counts the rejection
+    under its reason (one of REJECT_REASONS).
     """
     res = _propagate(pattern, cfg.faces, seeds)
     if res is None:
         return _reject(counters, "propagate")
     m, targets = res
     quads = tuple(targets[f] for f in cfg.faces)
-    for img in mates:
-        if tuple(targets[f] for f in img) < quads:
-            return _reject(counters, "orbit")
     if len(set(m.values())) != len(m):
         # two cube corners forced onto one surface vertex
         return _reject(counters, "identification")
@@ -544,6 +545,56 @@ def _realize(packing, pattern, cfg, seeds, *, sphere_mode, counters=None,
 _ORBITS = {cfg.id: _orbit_tables(cfg) for cfg in _CONFIGS}
 
 
+def _seeding_plan(cfg):
+    """(rotations, corners, steps, mates): how _surface_seedings finds
+    the seedings of one-component cfg that propagate and are the
+    smallest of their orbit, read from cfg's _glue_table and
+    _orbit_tables.
+
+    On the surface's flat half-edge table (see surface._half_edge_table)
+    a seeding is one half-edge h: face f's corner HEX_FACES[f][i] goes
+    on the tail of ring[h][i], so on quad h >> 2 at rotation h & 3;
+    rotations holds the allowed h & 3.  corners holds the positions on
+    the first face of the corners with three glued faces: the three
+    quads there share an edge pairwise, so the corner's vertex has
+    degree 3.  Each step (f, i, g, j, new) reads the twin of face f's
+    half-edge at position i, which runs along the edge f shares with
+    face g.  When new, g's half-edge is ring[twin][j] (the twin is g's
+    half-edge at position -j); otherwise g is placed already and the
+    twin must be its half-edge at position j.  Every pair of adjacent
+    glued faces is one step, and faces meet only there, so the steps
+    accept exactly the seedings _propagate does.  mates holds, per mate
+    (see _orbit_tables), a getter of its quads from the quads of
+    cfg.faces.
+    """
+    rotations, mates, _ = _ORBITS[cfg.id]
+    at_corner = _glue_table(sum(1 << f for f in cfg.faces))[0]
+    f0 = cfg.faces[0]
+    corners = tuple(i for i, c in enumerate(HEX_FACES[f0]) if at_corner[c] == 3)
+    steps = []
+    placed = [f0]
+    for f in placed:  # breadth first; the loop also reads faces placed below
+        for g in cfg.faces:
+            if g in placed or not _FACE_ADJ[f][g]:
+                continue
+            steps.append((f, _SHARED_EDGE[(g, f)], g, -_SHARED_EDGE[(f, g)] & 3, True))
+            steps.extend(
+                (e, _SHARED_EDGE[(g, e)], g, _SHARED_EDGE[(e, g)], False)
+                for e in placed
+                if e != f and _FACE_ADJ[e][g]
+            )
+            placed.append(g)
+    getters = tuple(
+        operator.itemgetter(*(cfg.faces.index(f) for f in img)) for img in mates
+    )
+    return frozenset(r for r, in rotations), corners, tuple(steps), getters
+
+
+_SEEDING_PLANS = {
+    cfg.id: _seeding_plan(cfg) for cfg in _CONFIGS if len(_COMPONENTS[cfg.id]) == 1
+}
+
+
 def _seed_choices(cfg, nquads, rotations=None, increasing=False):
     """Every seeding of a config, as _realize's seeds: the first face of
     each face component on a quad of its own, at a rotation (each tuple
@@ -558,6 +609,69 @@ def _seed_choices(cfg, nquads, rotations=None, increasing=False):
     for quads in pick(range(nquads), len(firsts)):
         for rots in rotations:
             yield tuple(zip(firsts, quads, rots))
+
+
+def _seeding_table(packing, pattern):
+    """(opp, dq, owner) of pattern, the boundary of packing: each
+    half-edge's twin and the degree of its tail vertex, from the flat
+    half-edge table (see surface._half_edge_table), and the hex that
+    owns each quad."""
+    Q, opp, deg, _ = _half_edge_table(pattern.quads)
+    index = packing.face_index
+    owner = [index[face_key(q)][0][0] for q in pattern.quads]
+    return opp, list(map(deg.__getitem__, Q)), owner
+
+
+def _surface_seedings(cfg, opp, dq, owner):
+    """The seedings of cfg that enumerate_moves realizes, as _realize's
+    seeds, on a surface with the _seeding_table (opp, dq, owner): of the
+    seedings of _seed_choices, those that _propagate accepts and that
+    are the smallest placement of their orbit (see _orbit_tables), less
+    the one-component ones that glue two faces onto quads of one old
+    hex, which glue_hex would turn down.
+
+    A one-component config follows its _seeding_plan on every seed
+    half-edge at once: the candidates are the half-edges at an allowed
+    rotation, or only those whose corners with three glued faces sit on
+    vertices of degree 3; each step finds a face's half-edges or drops
+    the candidates whose faces do not meet across an edge; the owners
+    of the glued quads, then a mate's quads, are compared last.  The
+    two-opposite config takes its increasing seed quads (see
+    _seed_choices).
+    """
+    rotations, _, increasing = _ORBITS[cfg.id]
+    if increasing:
+        yield from _seed_choices(cfg, len(opp) >> 2, rotations, True)
+        return
+    rots, corners, steps, mates = _SEEDING_PLANS[cfg.id]
+    ring = _rings(len(opp))
+    if corners:
+        back = -corners[0] & 3
+        threes = itertools.compress(range(len(dq)), map((3).__eq__, dq))
+        hs = [ring[k][back] for k in threes]
+        for i in corners[1:]:
+            hs = [h for h in hs if dq[ring[h][i]] == 3]
+    else:
+        hs = range(len(opp))
+    if len(rots) < 4:
+        hs = [h for h in hs if h & 3 in rots]
+    f0 = cfg.faces[0]
+    cols = {f0: hs}  # face -> its half-edge, per candidate
+    for f, i, g, j, new in steps:
+        if new:
+            cols[g] = [ring[opp[ring[h][i]]][j] for h in cols[f]]
+        else:
+            keep = [opp[ring[a][i]] == ring[b][j] for a, b in zip(cols[f], cols[g])]
+            cols = {e: list(itertools.compress(c, keep)) for e, c in cols.items()}
+    hs = cols[f0]
+    quads = list(zip(*[[h >> 2 for h in cols[f]] for f in cfg.faces]))
+    keep = [len(set(map(owner.__getitem__, q))) == len(q) for q in quads]
+    for mate in mates:
+        hs = list(itertools.compress(hs, keep))
+        quads = list(itertools.compress(quads, keep))
+        keep = [mate(q) >= q for q in quads]
+    for h, q in itertools.compress(zip(hs, quads), keep):
+        yield ((f0, q[0], h & 3),)
 
 
 def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
@@ -578,23 +692,24 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
     share one memo across the states of a layer.
 
     Seedings that differ by a rotation of the cube mapping the config's
-    face set to itself build one hex, so only the smallest placement of
-    each such orbit is realized and coded (see _orbit_tables): the
-    seed rotations that a turn of the glued faces makes smaller are
-    never tried, nor are two-opposite seedings whose second quad is
-    below the first, and _realize rejects the other seedings with a
-    smaller mate under "orbit".  A code's smallest placement is the
-    smallest of its orbit, so it is kept as before.  counters, if
-    given, is a dict whose "tried" entry is incremented per seeding
-    handed to _realize; each rejected seeding also counts under its
-    reason (see REJECT_REASONS) and each realized one, which asks the
-    memo once, under "codes".
+    face set to itself build one hex, and a seeding whose glued faces
+    do not follow the surface, or lie on quads of one old hex, builds
+    none.  So only the seedings that propagate and are the smallest
+    placement of their orbit are realized and coded, and none of one
+    component on two quads of one old hex, read off the surface (see
+    _surface_seedings).
+    A code's smallest placement is the smallest of its orbit, so it is
+    kept as before.  counters, if given, is a dict whose "tried" entry
+    is incremented per seeding handed to _realize; each rejected
+    seeding also counts under its reason (see REJECT_REASONS; never
+    "propagate" here) and each realized one, which asks the memo once,
+    under "codes".
     """
     if pattern is None:
         pattern = extract_boundary(packing)
     if memo is None:
         memo = CodeMemo()
-    nquads = len(pattern.quads)
+    table = _seeding_table(packing, pattern)
     kept = {}  # successor code -> its first candidate
     for cfg in _CONFIGS:
         if allowed is not None and cfg.id not in allowed:
@@ -602,13 +717,12 @@ def enumerate_moves(packing, pattern=None, allowed=None, *, sphere_mode=True,
         if sphere_mode and len(_COMPONENTS[cfg.id]) > 1:
             # gluing two disjoint quads of one sphere always adds a handle
             continue
-        rotations, mates, increasing = _ORBITS[cfg.id]
-        for seeds in _seed_choices(cfg, nquads, rotations, increasing):
+        for seeds in _surface_seedings(cfg, *table):
             if counters is not None:
                 counters["tried"] = counters.get("tried", 0) + 1
             cand = _realize(
                 packing, pattern, cfg, seeds,
-                sphere_mode=sphere_mode, counters=counters, mates=mates,
+                sphere_mode=sphere_mode, counters=counters,
             )
             if cand is None:
                 continue

@@ -87,15 +87,16 @@ class SearchStats:
     under its reason (rejected_<reason>, see moves.REJECT_REASONS), or
     gets its successor code, so moves_tried equals codes_computed plus
     every rejected_* count; moves_valid counts the distinct successors
-    each expansion proposed.  Only one seeding per orbit of a config's
-    stabilizer is realized (see moves.enumerate_moves): the seed
-    rotations that a turn of the glued faces makes smaller are not
-    tried, nor the two-opposite seedings whose swap is smaller, and the
-    other seedings whose orbit holds a smaller placement count under
-    rejected_orbit.  codes_computed counts the memo lookups,
-    one per realized seeding; only the first successor of each
-    isomorphism class in a layer is coded in full (see
-    surface.CodeMemo)."""
+    each expansion proposed.  The search tries only the seedings that
+    propagate and are the smallest placement of their orbit under the
+    config's stabilizer, read off the surface (see
+    moves._surface_seedings), so rejected_propagate reads 0.  So does
+    rejected_orbit: no check counts it, and it stays so that manifests
+    keep the key.  Nor does it try a one-component glue onto two quads
+    of one old hex, which glue_hex would reject for conformity.
+    codes_computed counts the memo lookups, one per realized seeding;
+    only the first successor of each isomorphism class in a layer is
+    coded in full (see surface.CodeMemo)."""
 
     states_expanded: int = 0
     moves_tried: int = 0
@@ -703,10 +704,13 @@ def save_checkpoint(ledger, directory):
 def _load_record(records, n, where, line):
     """Add one layer-n file line's slot to records, after checking it.
 
-    The line's count is stored nowhere: it must be the layer number,
-    agree with the parity word and be the witness length plus one.
+    The line must read exactly as save_checkpoint writes it: four
+    fields split by single spaces, a lowercase code, a decimal count
+    and placement tokens as Placement.token() writes them.  The count is
+    stored nowhere: it must be the layer number, agree with the parity
+    word and be the witness length plus one.
     """
-    parts = line.split()
+    parts = line.rstrip("\n").split(" ")
     if len(parts) != 4:
         raise CheckpointCorrupt(f"{where}: malformed record line")
     code_hex, parity, count_s, tokens = parts
@@ -714,7 +718,9 @@ def _load_record(records, n, where, line):
         code = bytes.fromhex(code_hex)
         count = int(count_s)
     except ValueError:
-        raise CheckpointCorrupt(f"{where}: bad code or count") from None
+        code = count = None
+    if code is None or code.hex() != code_hex or str(count) != count_s:
+        raise CheckpointCorrupt(f"{where}: bad code or count")
     if parity not in ("odd", "even") or parity_word(count) != parity:
         raise CheckpointCorrupt(f"{where}: parity does not match count")
     if count != n:

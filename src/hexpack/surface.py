@@ -13,10 +13,11 @@ flat half-edge table built for that call (see _half_edge_table): quad i
 holds half-edges 4*i .. 4*i + 3, so the traversal runs on list indexing
 alone.  A CodeMemo, made for one reflection mode, hands out the same
 codes but codes each isomorphism class in full once; it tests a pattern
-against a known code with the same walk (_walk) that computes codes,
-and hands its table to canonical_code when it codes one in full.  The
-table is not kept on the pattern, because the search holds many
-patterns at once.
+against a known code with the BFS walk that computes codes, which also
+stops at the first vertex whose degree is not its label's in that code
+(_match_walk), and hands its table to canonical_code when it codes one
+in full.  The table is not kept on the pattern, because the search
+holds many patterns at once.
 """
 
 from __future__ import annotations
@@ -341,7 +342,7 @@ class CodeMemo:
         bucket = self._buckets.setdefault(_bucket_key(dq, roots), [])
         if bucket:
             tables = _tables(Q, opp, dq, roots, self.reflection_invariant)
-            code = _match(bucket, tables, len(deg), _rings(len(Q)))
+            code = _match(bucket, tables, deg, _rings(len(Q)))
             if code is not None:
                 return code
         # a module global, so every full code passes through canonical_code
@@ -352,7 +353,43 @@ class CodeMemo:
         return code
 
 
-def _match(codes, tables, nv, ring):
+def _match_walk(root, Q, opp, ring, deg, em, em_deg):
+    """Whether the BFS from root emits em, the emission of a code.
+
+    The walk is _walk's, compared with em label by label, and it also
+    stops at the first new label whose vertex degree (deg, by vertex
+    number) is not em_deg[label], that label's number of occurrences in
+    em.  Equal emissions mean isomorphic patterns, so a vertex that
+    emits a label has that label's degree, and the stop never loses a
+    match.  _walk stays a plain label walk: a full code seeks the
+    smallest emission, whose labels have no known degree, and a degree
+    test inside the shared walk made full codes about 3% slower.
+    """
+    labels = [-1] * len(deg)
+    seen = [False] * (len(Q) >> 2)
+    seen[root >> 2] = True
+    queue = [root]
+    pos = nxt = 0
+    for h in queue:  # the loop also reads the half-edges appended below
+        for e in ring[h]:
+            v = Q[e]
+            lab = labels[v]
+            if lab < 0:
+                if deg[v] != em_deg[nxt]:
+                    return False
+                labels[v] = lab = nxt
+                nxt += 1
+            if lab != em[pos]:
+                return False
+            pos += 1
+            o = opp[e]
+            if not seen[o >> 2]:
+                seen[o >> 2] = True
+                queue.append(o)
+    return True
+
+
+def _match(codes, tables, deg, ring):
     """The first of codes whose emission a root of the tables emits, or None.
 
     A rooted emission describes the labelled map completely, so a match
@@ -361,21 +398,24 @@ def _match(codes, tables, nv, ring):
     tables: the direct one, or with reflection the mirror, which is
     built only when the direct roots match no code.  Only roots whose
     quad shows the degrees of labels 1, 2, 3 of the code, read from the
-    table's dq, are walked.  nv is the tables' vertex number count.
+    table's dq, are walked, and each walk stops at the first vertex
+    whose degree is not its label's (see _match_walk).  deg holds the
+    degree of each of the tables' vertex numbers.
     """
     n = len(ring)
     ems = []
     for code in codes:
         if len(code) == 2 * n:
             em = struct.unpack(f">{n}H", code)
-            ems.append((code, em, (em.count(1), em.count(2), em.count(3))))
+            em_deg = Counter(em)
+            ems.append((code, em, em_deg, (em_deg[1], em_deg[2], em_deg[3])))
     for Q, opp, dq, roots in tables:
-        for code, em, triple in ems:
+        for code, em, em_deg, triple in ems:
             for r in roots:
                 _, a, b, c = ring[r]
-                if (dq[a], dq[b], dq[c]) == triple and _walk(
-                    r, Q, opp, ring, nv, em
-                )[0] is em:
+                if (dq[a], dq[b], dq[c]) == triple and _match_walk(
+                    r, Q, opp, ring, deg, em, em_deg
+                ):
                     return code
     return None
 

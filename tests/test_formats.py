@@ -158,6 +158,10 @@ def test_witness_parse_errors():
         parse_witness("witness 2\n1:0:0\n")
     with pytest.raises(ParseError):
         parse_witness("coords 1\n1:0:0\n")
+    # a token must read exactly as Placement.token() writes it
+    for token in ("+1:0:0", "1:0:03", "1:00:0", "١:0:0"):
+        with pytest.raises(ParseError):
+            parse_witness(f"witness 1\n{token}\n")
 
 
 def test_vtk_export_and_rereading(cube, cube_coords):

@@ -27,6 +27,7 @@ from hexpack.moves import (
     config_by_id,
     config_components,
     config_for_subset,
+    encode_rotation,
     enumerate_moves,
     glue_configs,
     initial_packing,
@@ -634,6 +635,69 @@ def test_every_mate_of_a_seeding_builds_the_same_successor(seed, sphere_mode):
             # a legal seeding has as many mates as its stabilizer
             assert len(placements) == len(moves._STABILIZERS[cfg.id]) + 1
     assert realized > 0
+
+
+def orbit_placements(pattern, cfg, seeds):
+    """The placement of a propagating seeding, then those of its mates."""
+    m, targets = _propagate(pattern, cfg.faces, seeds)
+    orbit = [(seeds, tuple(targets[f] for f in cfg.faces))]
+    for vperm, fperm in moves._STABILIZERS[cfg.id]:
+        orbit.append((
+            mate_seeds(pattern, cfg, m, targets, vperm, fperm),
+            tuple(targets[fperm[f]] for f in cfg.faces),
+        ))
+    return [
+        Placement(cfg.id, quads, encode_rotation(r for *_, r in s))
+        for s, quads in orbit
+    ]
+
+
+def accepted(packing, pattern, cfg, choices, sphere_mode):
+    """The seedings among choices that _realize accepts, sorted."""
+    return sorted(
+        seeds for seeds in choices
+        if _realize(packing, pattern, cfg, seeds, sphere_mode=sphere_mode)
+    )
+
+
+@pytest.mark.parametrize(
+    "depth, options",
+    [
+        (5, SearchOptions()),
+        (4, SearchOptions(sphere_mode=False)),
+        (4, SearchOptions(sphere_mode=False, reflection_invariant=False)),
+        (4, SearchOptions(sphere_mode=False, allowed_configs=(1, 2, 4))),
+        (3, SearchOptions(sphere_mode=False)),
+    ],
+)
+def test_surface_seedings_are_the_full_products_smallest_of_each_orbit(
+    depth, options
+):
+    # On every state of the ledger, the seedings enumerate_moves hands to
+    # _realize that it accepts are the full product's accepted seedings
+    # whose placement is the smallest of their orbit.  The two-opposite
+    # full product is n(n - 1) * 16 seedings on n quads, 1.5 million on
+    # the depth-4 states, so that config is checked on depth 3 only.
+    sphere_mode = options.sphere_mode
+    for packing in ledger_states(depth, options):
+        pattern = extract_boundary(packing)
+        table = moves._seeding_table(packing, pattern)
+        for cfg in glue_configs():
+            if len(config_components(cfg)) > 1 and (sphere_mode or depth > 3):
+                continue
+            got = accepted(
+                packing, pattern, cfg, moves._surface_seedings(cfg, *table),
+                sphere_mode,
+            )
+            want = []
+            for seeds in accepted(
+                packing, pattern, cfg,
+                moves._seed_choices(cfg, len(pattern.quads)), sphere_mode,
+            ):
+                own, *mates = orbit_placements(pattern, cfg, seeds)
+                if own == min(own, *mates):
+                    want.append(seeds)
+            assert got == want, (cfg.name, depth, options)
 
 
 def test_no_minimal_packing_one_move_past_a_witness_reaches_a_smaller_slot():

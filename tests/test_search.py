@@ -172,7 +172,8 @@ def test_checkpoint_with_an_old_thread_count_resumes(tmp_path):
     import json
 
     d = str(tmp_path / "ck")
-    build_ledger(2, SearchOptions(checkpoint_dir=d))
+    # the smallest depth whose expansions reject a seeding for conformity
+    build_ledger(5, SearchOptions(checkpoint_dir=d))
     manifest_path = os.path.join(d, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
@@ -184,8 +185,8 @@ def test_checkpoint_with_an_old_thread_count_resumes(tmp_path):
     assert stats["rejected_maximality"] > 0
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
-    resumed = build_ledger(4, SearchOptions(checkpoint_dir=d))
-    fresh = build_ledger(4)
+    resumed = build_ledger(6, SearchOptions(checkpoint_dir=d))
+    fresh = build_ledger(6)
     assert set(resumed.records) == set(fresh.records)
     for code in fresh.records:
         ra, rb = resumed.records[code], fresh.records[code]
@@ -372,6 +373,34 @@ def _first_record(edit):
     pytest.param(
         _first_record(lambda c, p, n, t: [f"zz{c} {p} {n} {t}"]),
         CheckpointCorrupt, "bad code", id="bad-code",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"{c.upper()} {p} {n} {t}"]),
+        CheckpointCorrupt, "bad code", id="uppercase-code",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"{c} {p} +0{n} {t}"]),
+        CheckpointCorrupt, "bad code or count", id="signed-count",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"{c} {p} {n}_0 {t}"]),
+        CheckpointCorrupt, "bad code or count", id="underscored-count",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"{c} {p} \u0663 {t}"]),
+        CheckpointCorrupt, "bad code or count", id="non-ascii-digit-count",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"{c}\t{p} {n} {t}"]),
+        CheckpointCorrupt, "malformed record line", id="tab-separated",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"{c} {p} {n} +{t}"]),
+        CheckpointCorrupt, "bad placement token", id="signed-placement-token",
+    ),
+    pytest.param(
+        _first_record(lambda c, p, n, t: [f"{c} {p} {n} {t.replace(':', ':0', 1)}"]),
+        CheckpointCorrupt, "bad placement token", id="zero-padded-placement-token",
     ),
     pytest.param(
         _first_record(lambda c, p, n, t: [f"{c} even {n} {t}"]),
@@ -882,6 +911,26 @@ def test_each_slot_keeps_its_smallest_predecessor_and_placement(options, depth):
         if rec.slot(p) not in (None, 1)
     }
     assert got == want
+
+
+def test_census_counts_of_build_ledger_6():
+    # enumerate_moves realizes only seedings that propagate, are the
+    # smallest of their orbit and glue no two faces onto one old hex
+    stats = build_ledger(6).stats
+    assert stats.as_dict() == {
+        "states_expanded": 84,
+        "moves_tried": 3049,
+        "moves_valid": 1748,
+        "pruned": 0,
+        "codes_computed": 2997,
+        "rejected_propagate": 0,
+        "rejected_orbit": 0,
+        "rejected_identification": 24,
+        "rejected_euler": 0,
+        "rejected_conformity": 28,
+    }
+    rejected = [getattr(stats, "rejected_" + r) for r in REJECT_REASONS]
+    assert stats.moves_tried == stats.codes_computed + sum(rejected)
 
 
 def test_every_candidate_is_rejected_for_a_reason_or_coded(tmp_path):

@@ -16,7 +16,7 @@ from hexpack.errors import (
 )
 from hexpack.hexmodel import build_complex, extract_boundary
 from hexpack.moves import Placement
-from hexpack.search import build_ledger, replay_witness
+from hexpack.search import SearchOptions, build_ledger, replay_witness
 from hexpack.surface import (
     CodeMemo,
     SurfacePattern,
@@ -322,6 +322,43 @@ def test_memo_tells_apart_patterns_forced_into_one_bucket(monkeypatch):
         assert len(full) == len(set(want))
         # some bucket-mates have one quad count and still differ
         assert len(set(want)) > len({len(code) for code in want})
+
+
+def plain_match(codes, tables, nv, ring):
+    """(code, table index) of the first code a root of the tables emits
+    by plain label walks (surface._walk), or (None, None)."""
+    n = len(ring)
+    for k, (Q, opp, _, roots) in enumerate(tables):
+        for code in codes:
+            if len(code) != 2 * n:
+                continue
+            em = struct.unpack(f">{n}H", code)
+            for r in roots:
+                if surface._walk(r, Q, opp, ring, nv, em)[0] is em:
+                    return code, k
+    return None, None
+
+
+@pytest.mark.parametrize("reflection", [True, False])
+def test_degree_guided_match_returns_what_plain_walks_return(monkeypatch, reflection):
+    # every memo match of build_ledger(6), against plain label walks
+    real = surface._match
+    seen = {"calls": 0, "hits": 0, "mirror_hits": 0}
+
+    def checked(codes, tables, deg, ring):
+        tables = list(tables)
+        got = real(codes, iter(tables), deg, ring)
+        want, k = plain_match(codes, tables, len(deg), ring)
+        assert got == want
+        seen["calls"] += 1
+        seen["hits"] += want is not None
+        seen["mirror_hits"] += k == 1
+        return got
+
+    monkeypatch.setattr(surface, "_match", checked)
+    build_ledger(6, SearchOptions(reflection_invariant=reflection))
+    assert seen["calls"] > seen["hits"] > 0
+    assert (seen["mirror_hits"] > 0) == reflection
 
 
 def test_mirroring_is_invisible_with_reflection_invariance(pyramid):
